@@ -3,9 +3,15 @@
 // and end-to-end simulated-seconds-per-wall-second of the full testbed.
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
+#include <functional>
+#include <random>
+
 #include "experiment/experiment.h"
 #include "lb/load_balancer.h"
 #include "os/cpu.h"
+#include "sim/callback.h"
+#include "sim/event_queue.h"
 #include "sim/simulation.h"
 
 using namespace ntier;
@@ -43,6 +49,71 @@ static void BM_EventQueueCancelHeavy(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 30'000);
 }
 BENCHMARK(BM_EventQueueCancelHeavy);
+
+// Moving one pending event, as the processor-sharing CPU does with its
+// completion event on every arrival and departure, on a heap the size of
+// fig6_baseline's live-event count (about 7k): re-key in place (Arg 1)
+// against cancel + push (Arg 0). Each iteration also fires the earliest
+// event and pushes a replacement, so the heap keeps its size and cancelled
+// nodes drain as the clock moves.
+static void BM_EventQueueReschedule(benchmark::State& state) {
+  const bool rekey = state.range(0) == 1;
+  constexpr int kLive = 7000;
+  constexpr std::int64_t kWindowUs = 700'000;  // 7k events per 0.7 s: 10k/s
+  std::mt19937_64 rng(42);
+  sim::EventQueue q;
+  for (int i = 0; i < kLive; ++i)
+    q.push(sim::SimTime::micros(static_cast<std::int64_t>(rng() % kWindowUs)),
+           [] {});
+  bool standing_fired = false;
+  const auto standing = [&standing_fired] { standing_fired = true; };
+  sim::EventId id = q.push(sim::SimTime::micros(kWindowUs / 2), standing);
+  for (auto _ : state) {
+    auto fired = q.pop();
+    fired.fn();
+    const sim::SimTime now = fired.at;
+    if (standing_fired) {
+      standing_fired = false;
+      id = q.push(now + sim::SimTime::micros(500), standing);
+    } else {
+      q.push(now + sim::SimTime::micros(kWindowUs), [] {});
+    }
+    const sim::SimTime at =
+        now + sim::SimTime::micros(100 + static_cast<std::int64_t>(rng() % 5000));
+    if (rekey) {
+      benchmark::DoNotOptimize(q.reschedule(id, at));
+    } else {
+      benchmark::DoNotOptimize(q.cancel(id));
+      id = q.push(at, standing);
+    }
+  }
+  benchmark::DoNotOptimize(q.size());
+  state.SetItemsProcessed(state.iterations());
+  state.SetLabel(rekey ? "reschedule" : "cancel+push");
+}
+BENCHMARK(BM_EventQueueReschedule)->Arg(0)->Arg(1);
+
+// A continuation's life on the event path: built from a lambda with a
+// 40-byte capture (a pointer plus four words, the size of a typical
+// request-path closure), moved twice (into the queue slot, out to the run
+// loop) and invoked. std::function stores only 16 bytes inline, so it
+// allocates; sim::Callback keeps the capture in its 48-byte buffer.
+template <typename Fn>
+static void BM_CallbackMove(benchmark::State& state) {
+  std::uint64_t sink = 0;
+  std::uint64_t x0 = 1, x1 = 2, x2 = 3, x3 = 4;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(x0);
+    Fn a = [s = &sink, x0, x1, x2, x3] { *s += x0 + x1 + x2 + x3; };
+    Fn b = std::move(a);
+    Fn c = std::move(b);
+    c();
+  }
+  benchmark::DoNotOptimize(sink);
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK_TEMPLATE(BM_CallbackMove, std::function<void()>);
+BENCHMARK_TEMPLATE(BM_CallbackMove, sim::Callback);
 
 static void BM_CpuProcessorSharing(benchmark::State& state) {
   const int jobs = static_cast<int>(state.range(0));

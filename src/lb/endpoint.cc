@@ -21,59 +21,65 @@ struct PollState {
   sim::Simulation& simu;
   EndpointPool& pool;
   BlockingAcquirer::Params params;
-  std::function<void(bool)> done;
+  AcquireFn done;
   sim::SimTime waited;
   EndpointAcquirer::TraceContext trace;
 };
 
-// Exact Algorithm-1 sequencing: a failed check is always followed by a
-// sleep; the loop condition (retry * JK_SLEEP_DEF < timeout) is evaluated
-// on wake-up. With the defaults this checks at 0/100/200 ms and reports
-// failure at 300 ms. A free function (rather than a self-capturing closure
-// in a shared_ptr<function>) so the recursion holds no reference cycle:
-// the only owner of the state is the pending wake-up event.
-void poll_step(const std::shared_ptr<PollState>& st) {
-  if (st->pool.try_acquire()) {
-    st->done(true);
-    return;
-  }
-  // The initial failed check is covered by the balancer's attempt event;
-  // wake-up re-checks are the 100 ms sleeps the worker thread spends parked.
-  if (st->waited > sim::SimTime::zero())
+// Exact Algorithm-1 sequencing after the failed check at t = 0: a failed
+// check is always followed by a sleep, and the loop condition
+// (retry * JK_SLEEP_DEF < timeout) is evaluated on wake-up. With the
+// defaults this checks at 0/100/200 ms and reports failure at 300 ms. The
+// pending wake-up event is the state's only owner.
+void sleep_then_poll(std::unique_ptr<PollState> st) {
+  st->waited += st->params.sleep_interval;
+  const sim::SimTime sleep = st->params.sleep_interval;
+  sim::Simulation& simu = st->simu;
+  simu.after(sleep, [st = std::move(st)]() mutable {
+    if (st->waited >= st->params.acquire_timeout) {
+      st->done(false);
+      return;
+    }
+    if (st->pool.try_acquire()) {
+      st->done(true);
+      return;
+    }
+    // The initial failed check is covered by the balancer's attempt event;
+    // wake-up re-checks are the 100 ms sleeps the worker thread spends
+    // parked.
     NTIER_TRACE_EVENT(st->trace.trace, st->simu.now(),
                       obs::EventKind::kGetEndpointPoll, obs::Tier::kBalancer,
                       st->trace.node, st->trace.worker, st->trace.request,
                       st->waited.to_millis());
-  st->waited += st->params.sleep_interval;
-  st->simu.after(st->params.sleep_interval, [st] {
-    if (st->waited >= st->params.acquire_timeout)
-      st->done(false);
-    else
-      poll_step(st);
+    sleep_then_poll(std::move(st));
   });
 }
 
 }  // namespace
 
 void BlockingAcquirer::acquire(sim::Simulation& simu, EndpointPool& pool,
-                               const WorkerRecord& rec,
-                               std::function<void(bool)> done) {
-  (void)rec;
-  poll_step(std::make_shared<PollState>(PollState{
+                               const WorkerRecord&, AcquireFn done) {
+  if (pool.try_acquire()) {
+    done(true);
+    return;
+  }
+  sleep_then_poll(std::make_unique<PollState>(PollState{
       simu, pool, params_, std::move(done), sim::SimTime::zero(), trace_ctx_}));
 }
 
 void NonBlockingAcquirer::acquire(sim::Simulation&, EndpointPool& pool,
-                                  const WorkerRecord&,
-                                  std::function<void(bool)> done) {
+                                  const WorkerRecord&, AcquireFn done) {
   done(pool.try_acquire());
 }
 
 void QueueingAcquirer::acquire(sim::Simulation& simu, EndpointPool& pool,
-                               const WorkerRecord&,
-                               std::function<void(bool)> done) {
+                               const WorkerRecord&, AcquireFn done) {
+  if (pool.try_acquire()) {
+    done(true);
+    return;
+  }
   if (params_.wait_timeout <= sim::SimTime::zero()) {
-    pool.acquire_or_wait([done = std::move(done)](bool ok) { done(ok); });
+    pool.acquire_or_wait(std::move(done));
     return;
   }
   // Bounded wait: whichever of {grant/drain, timeout} fires first settles
@@ -81,21 +87,23 @@ void QueueingAcquirer::acquire(sim::Simulation& simu, EndpointPool& pool,
   // cannot hand a slot to a caller that already gave up (that slot would
   // never be returned).
   struct WaitState {
-    bool settled = false;
+    AcquireFn done;
     EndpointPool::WaiterId id = 0;
+    bool settled = false;
   };
   auto st = std::make_shared<WaitState>();
-  const auto id = pool.acquire_or_wait([st, done](bool ok) {
+  st->done = std::move(done);
+  const auto id = pool.acquire_or_wait([st](bool ok) {
     st->settled = true;
-    done(ok);
+    st->done(ok);
   });
   if (st->settled) return;  // granted (or drained) synchronously
   st->id = id;
-  simu.after(params_.wait_timeout, [st, &pool, done] {
+  simu.after(params_.wait_timeout, [st, &pool] {
     if (st->settled) return;
     if (pool.cancel_waiter(st->id)) {
       st->settled = true;
-      done(false);
+      st->done(false);
     }
   });
 }

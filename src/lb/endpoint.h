@@ -2,17 +2,20 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <stdexcept>
 #include <string>
 
 #include "lb/worker_record.h"
 #include "obs/trace.h"
+#include "sim/callback.h"
 #include "sim/simulation.h"
 #include "sim/time.h"
 
 namespace ntier::lb {
+
+/// Outcome of an endpoint acquisition: true once a slot is held.
+using AcquireFn = sim::Function<void(bool ok)>;
 
 /// AJP connection pool between one Apache and one Tomcat
 /// (mod_jk `connection_pool_size`). An *endpoint* is a pooled connection; a
@@ -32,6 +35,8 @@ class EndpointPool {
   using WaiterId = std::uint64_t;
 
   explicit EndpointPool(std::size_t capacity) : capacity_(capacity) {}
+  // Waiters own move-only callbacks.
+  EndpointPool(EndpointPool&&) = default;
 
   bool try_acquire() {
     if (in_use_ >= capacity_) return false;
@@ -44,7 +49,7 @@ class EndpointPool {
   /// the slot is held; `granted(false)` when the pool is drained first.
   /// Returns 0 when the slot was granted synchronously, else a waiter id
   /// usable with `cancel_waiter`.
-  WaiterId acquire_or_wait(std::function<void(bool)> granted) {
+  WaiterId acquire_or_wait(AcquireFn granted) {
     if (try_acquire()) {
       granted(true);
       return 0;
@@ -115,7 +120,7 @@ class EndpointPool {
  private:
   struct Waiter {
     WaiterId id;
-    std::function<void(bool)> granted;
+    AcquireFn granted;
   };
 
   std::size_t capacity_;
@@ -162,8 +167,7 @@ class EndpointAcquirer {
   /// mutate `rec` — state transitions on failure belong to the balancer —
   /// but receive it for introspection/assertions.
   virtual void acquire(sim::Simulation& simu, EndpointPool& pool,
-                       const WorkerRecord& rec,
-                       std::function<void(bool)> done) = 0;
+                       const WorkerRecord& rec, AcquireFn done) = 0;
 
  protected:
   TraceContext trace_ctx_;
@@ -186,7 +190,7 @@ class BlockingAcquirer final : public EndpointAcquirer {
   const Params& params() const { return params_; }
 
   void acquire(sim::Simulation& simu, EndpointPool& pool, const WorkerRecord& rec,
-               std::function<void(bool)> done) override;
+               AcquireFn done) override;
 
  private:
   Params params_;
@@ -200,7 +204,7 @@ class NonBlockingAcquirer final : public EndpointAcquirer {
  public:
   MechanismKind kind() const override { return MechanismKind::kNonBlocking; }
   void acquire(sim::Simulation& simu, EndpointPool& pool, const WorkerRecord& rec,
-               std::function<void(bool)> done) override;
+               AcquireFn done) override;
 };
 
 /// Condvar-style acquisition: waits FIFO on the chosen pool and is woken
@@ -224,7 +228,7 @@ class QueueingAcquirer final : public EndpointAcquirer {
   const Params& params() const { return params_; }
 
   void acquire(sim::Simulation& simu, EndpointPool& pool, const WorkerRecord& rec,
-               std::function<void(bool)> done) override;
+               AcquireFn done) override;
 
  private:
   Params params_;

@@ -1,9 +1,9 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 
+#include "sim/callback.h"
 #include "sim/simulation.h"
 #include "sim/time.h"
 
@@ -64,7 +64,8 @@ class HealthProber {
  public:
   /// done(ok) must eventually fire unless the backend is gone; the prober's
   /// own timeout covers the never-answers case.
-  using ProbeFn = std::function<void(int worker, std::function<void(bool)> done)>;
+  using DoneFn = sim::Function<void(bool ok)>;
+  using ProbeFn = sim::Function<void(int worker, DoneFn done)>;
 
   HealthProber(sim::Simulation& simu, LoadBalancer& lb, ProbeFn probe,
                ProberConfig config);

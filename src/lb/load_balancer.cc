@@ -16,8 +16,9 @@ bool LoadBalancer::attach_probes(probe::ProbePool* pool) {
 
 struct LoadBalancer::AssignContext {
   proto::RequestPtr req;
-  std::function<void(int)> done;
-  std::vector<bool> attempted;  // per worker index
+  AssignFn done;
+  // Workers already tried; recycled contexts keep the vector's capacity.
+  std::vector<bool> attempted;
 };
 
 LoadBalancer::LoadBalancer(sim::Simulation& simu, int num_workers,
@@ -51,6 +52,8 @@ LoadBalancer::LoadBalancer(sim::Simulation& simu, int num_workers,
     arm_decay();
   }
 }
+
+LoadBalancer::~LoadBalancer() = default;
 
 void LoadBalancer::arm_decay() {
   sim_.after(config_.decay_interval, [this] {
@@ -179,7 +182,14 @@ void LoadBalancer::mark_failure(WorkerRecord& rec) {
   }
 }
 
-void LoadBalancer::try_next(const std::shared_ptr<AssignContext>& ctx) {
+void LoadBalancer::settle(AssignContext* ctx, int worker) {
+  AssignFn done = std::move(ctx->done);
+  ctx->req.reset();
+  free_contexts_.push_back(ctx);
+  done(worker);
+}
+
+void LoadBalancer::try_next(AssignContext* ctx) {
   int idx = -1;
   // Sticky routing first: a request that carries a session route goes back
   // to its owner whenever that worker is eligible and not yet attempted.
@@ -191,13 +201,13 @@ void LoadBalancer::try_next(const std::shared_ptr<AssignContext>& ctx) {
       ++sticky_hits_;
     } else if (config_.sticky_force) {
       ++balancer_errors_;  // mod_jk sticky_session_force: no fallback
-      ctx->done(-1);
+      settle(ctx, -1);
       return;
     }
   }
   if (idx < 0) {
-    std::vector<int> eligible_idx;
-    eligible_idx.reserve(records_.size());
+    std::vector<int>& eligible_idx = eligible_idx_;
+    eligible_idx.clear();
     for (std::size_t i = 0; i < records_.size(); ++i) {
       if (ctx->attempted[i]) continue;
       auto& rec = records_[i];
@@ -216,7 +226,7 @@ void LoadBalancer::try_next(const std::shared_ptr<AssignContext>& ctx) {
   }
   if (idx < 0) {
     ++balancer_errors_;
-    ctx->done(-1);
+    settle(ctx, -1);
     return;
   }
 
@@ -255,7 +265,7 @@ void LoadBalancer::try_next(const std::shared_ptr<AssignContext>& ctx) {
                                                                      1.0);
           // Deliberately no write into *ctx->req: which field the chosen
           // index means (tomcat, DB replica, ...) is the caller's business.
-          ctx->done(idx);
+          settle(ctx, idx);
         } else {
           trace_event(
               obs::EventKind::kGetEndpointTimeout, idx, ctx->req->id,
@@ -267,9 +277,15 @@ void LoadBalancer::try_next(const std::shared_ptr<AssignContext>& ctx) {
       });
 }
 
-void LoadBalancer::assign(const proto::RequestPtr& req,
-                          std::function<void(int)> done) {
-  auto ctx = std::make_shared<AssignContext>();
+void LoadBalancer::assign(const proto::RequestPtr& req, AssignFn done) {
+  AssignContext* ctx = nullptr;
+  if (free_contexts_.empty()) {
+    contexts_.push_back(std::make_unique<AssignContext>());
+    ctx = contexts_.back().get();
+  } else {
+    ctx = free_contexts_.back();
+    free_contexts_.pop_back();
+  }
   ctx->req = req;
   ctx->done = std::move(done);
   ctx->attempted.assign(records_.size(), false);

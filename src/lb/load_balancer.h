@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -13,6 +12,7 @@
 #include "metrics/time_series.h"
 #include "obs/trace.h"
 #include "proto/request.h"
+#include "sim/callback.h"
 #include "sim/simulation.h"
 
 namespace ntier::probe {
@@ -72,10 +72,15 @@ struct BalancerConfig {
 /// every concurrent assignment funnels into it.
 class LoadBalancer {
  public:
+  /// Outcome of assign(): the chosen worker index, or -1.
+  using AssignFn = sim::Function<void(int worker)>;
+
   LoadBalancer(sim::Simulation& simu, int num_workers,
                std::unique_ptr<LbPolicy> policy,
                std::unique_ptr<EndpointAcquirer> acquirer,
                BalancerConfig config = {});
+
+  ~LoadBalancer();
 
   LoadBalancer(const LoadBalancer&) = delete;
   LoadBalancer& operator=(const LoadBalancer&) = delete;
@@ -84,7 +89,7 @@ class LoadBalancer {
   /// called — possibly after simulated polling time — with the chosen worker
   /// index, or -1 when every worker was tried and none yielded an endpoint
   /// (the request fails with a balancer error, as mod_jk returns 503).
-  void assign(const proto::RequestPtr& req, std::function<void(int)> done);
+  void assign(const proto::RequestPtr& req, AssignFn done);
 
   /// The response for `req` arrived from worker `idx`: release the endpoint
   /// and run the policy's completion hook.
@@ -175,7 +180,9 @@ class LoadBalancer {
   void open_breaker(WorkerRecord& rec);
   void trace_event(obs::EventKind kind, int worker, std::uint64_t request,
                    double value = 0.0, std::int32_t aux = 0);
-  void try_next(const std::shared_ptr<AssignContext>& ctx);
+  void try_next(AssignContext* ctx);
+  /// Return `ctx` to the free list and hand `worker` to its continuation.
+  void settle(AssignContext* ctx, int worker);
   void set_committed(int idx, int delta);
   void trace_lb_value(int idx);
 
@@ -188,6 +195,11 @@ class LoadBalancer {
   sim::Rng rng_;
   std::uint64_t balancer_errors_ = 0;
   std::uint64_t sticky_hits_ = 0;
+  // In-flight assignments, recycled through a free list; the pending
+  // acquisition's callback names its context by pointer.
+  std::vector<std::unique_ptr<AssignContext>> contexts_;
+  std::vector<AssignContext*> free_contexts_;
+  std::vector<int> eligible_idx_;  // try_next's candidate buffer, reused
   obs::TraceCollector* trace_events_ = nullptr;
   int trace_node_ = -1;
 

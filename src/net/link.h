@@ -1,7 +1,6 @@
 #pragma once
 
-#include <functional>
-
+#include "sim/callback.h"
 #include "sim/rng.h"
 #include "sim/simulation.h"
 #include "sim/time.h"
@@ -45,7 +44,7 @@ class Link {
   }
 
   /// Deliver `fn` on the far side after the link latency.
-  void deliver(sim::Simulation& simu, std::function<void()> fn) const {
+  void deliver(sim::Simulation& simu, sim::Callback fn) const {
     simu.after(latency(), std::move(fn));
   }
 

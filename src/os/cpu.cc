@@ -43,68 +43,90 @@ void CpuResource::advance() {
   last_update_ = now;
 }
 
-void CpuResource::pop_cancelled_top() {
-  while (!heap_.empty()) {
-    auto it = cancelled_.find(heap_.top().id);
-    if (it == cancelled_.end()) return;
-    cancelled_.erase(it);
+sim::Callback CpuResource::release_job(std::uint32_t slot) {
+  Job& job = jobs_[slot];
+  sim::Callback fn = std::move(job.on_complete);
+  ++job.gen;
+  free_jobs_.push_back(slot);
+  --live_jobs_;
+  return fn;
+}
+
+void CpuResource::pop_stale_top() {
+  while (!heap_.empty() && !live(heap_.top().slot, heap_.top().gen))
     heap_.pop();
-  }
 }
 
 void CpuResource::reschedule() {
-  if (completion_event_ != sim::kInvalidEventId) {
-    sim_.cancel(completion_event_);
-    completion_event_ = sim::kInvalidEventId;
-  }
-  pop_cancelled_top();
-  if (heap_.empty()) return;
+  pop_stale_top();
   const double rate = rate_per_job();
-  if (rate <= 0.0) return;  // fully stalled; re-armed when the factor recovers
+  if (heap_.empty() || rate <= 0.0) {
+    // Idle, or fully stalled (re-armed when the factor recovers).
+    if (completion_event_ != sim::kInvalidEventId) {
+      sim_.cancel(completion_event_);
+      completion_event_ = sim::kInvalidEventId;
+    }
+    return;
+  }
   const double remaining = heap_.top().v_end - v_;
   const double delay_ns = remaining <= 0 ? 0 : std::ceil(remaining / rate);
-  completion_event_ = sim_.after(sim::SimTime::nanos(static_cast<std::int64_t>(delay_ns)),
-                                 [this] { on_completion_event(); });
+  const sim::SimTime at =
+      sim_.now() + sim::SimTime::nanos(static_cast<std::int64_t>(delay_ns));
+  if (completion_event_ != sim::kInvalidEventId) {
+    [[maybe_unused]] const bool moved = sim_.reschedule(completion_event_, at);
+    assert(moved);
+    return;
+  }
+  completion_event_ = sim_.at(at, [this] { on_completion_event(); });
 }
 
 void CpuResource::on_completion_event() {
   completion_event_ = sim::kInvalidEventId;
   advance();
-  std::vector<std::function<void()>> done;
-  pop_cancelled_top();
+  // Borrow the reused vector so a callback that somehow re-enters cannot
+  // clobber the batch being run.
+  std::vector<sim::Callback> done;
+  done.swap(done_);
+  pop_stale_top();
   while (!heap_.empty() && heap_.top().v_end <= v_ + kVEps) {
-    const JobId id = heap_.top().id;
+    const std::uint32_t slot = heap_.top().slot;
     heap_.pop();
-    auto it = callbacks_.find(id);
-    assert(it != callbacks_.end());
-    done.push_back(std::move(it->second));
-    callbacks_.erase(it);
-    --live_jobs_;
-    pop_cancelled_top();
+    done.push_back(release_job(slot));
+    pop_stale_top();
   }
   reschedule();
   for (auto& cb : done) cb();
+  done.clear();
+  done_.swap(done);
 }
 
 CpuResource::JobId CpuResource::submit(sim::SimTime demand,
-                                       std::function<void()> on_complete) {
+                                       sim::Callback on_complete) {
   if (demand.ns() < 0) throw std::invalid_argument("CpuResource: negative demand");
   advance();
-  const JobId id = next_job_id_++;
-  heap_.push(HeapJob{v_ + static_cast<double>(demand.ns()), id});
-  callbacks_.emplace(id, std::move(on_complete));
+  std::uint32_t slot = 0;
+  if (free_jobs_.empty()) {
+    slot = static_cast<std::uint32_t>(jobs_.size());
+    jobs_.emplace_back();
+  } else {
+    slot = free_jobs_.back();
+    free_jobs_.pop_back();
+  }
+  Job& job = jobs_[slot];
+  job.on_complete = std::move(on_complete);
+  heap_.push(HeapJob{v_ + static_cast<double>(demand.ns()), ++next_seq_, slot,
+                     job.gen});
   ++live_jobs_;
   reschedule();
-  return id;
+  return make_id(slot, job.gen);
 }
 
 bool CpuResource::cancel(JobId id) {
-  auto it = callbacks_.find(id);
-  if (it == callbacks_.end()) return false;
+  const auto slot = static_cast<std::uint32_t>(id);
+  const auto gen = static_cast<std::uint32_t>(id >> 32);
+  if (slot >= jobs_.size() || !live(slot, gen)) return false;
   advance();
-  callbacks_.erase(it);
-  cancelled_.insert(id);
-  --live_jobs_;
+  release_job(slot);  // the heap entry goes stale and is skipped lazily
   reschedule();
   return true;
 }

@@ -1,13 +1,11 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <queue>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
+#include "sim/callback.h"
 #include "sim/simulation.h"
 #include "sim/time.h"
 
@@ -25,7 +23,9 @@ namespace ntier::os {
 ///
 /// Implementation: virtual-time PS. V(t) integrates the per-job rate; job j
 /// finishes when V reaches V(start_j) + demand_j, so arrivals/departures are
-/// O(log n) instead of rescanning every job.
+/// O(log n) instead of rescanning every job. Callbacks live in a reusable
+/// slot table, and one standing completion event is re-keyed in place
+/// (Simulation::reschedule) on every arrival, departure and speed change.
 class CpuResource {
  public:
   using JobId = std::uint64_t;
@@ -38,7 +38,7 @@ class CpuResource {
 
   /// Submit a job with the given full-speed demand. `on_complete` fires when
   /// the job has accumulated that much service.
-  JobId submit(sim::SimTime demand, std::function<void()> on_complete);
+  JobId submit(sim::SimTime demand, sim::Callback on_complete);
 
   /// Abandon a job before completion. Returns false if already finished.
   bool cancel(JobId id);
@@ -69,20 +69,40 @@ class CpuResource {
   UtilisationProbe probe_utilisation();
 
  private:
+  /// Completion order is (v_end, submission order); `slot`/`gen` name the
+  /// job, and the entry is stale once that slot's generation moved on.
   struct HeapJob {
     double v_end;  // virtual time at which the job completes
-    JobId id;
+    std::uint64_t seq;
+    std::uint32_t slot;
+    std::uint32_t gen;
     bool operator>(const HeapJob& o) const {
       if (v_end != o.v_end) return v_end > o.v_end;
-      return id > o.id;
+      return seq > o.seq;
     }
   };
 
+  /// A job's callback. `gen` grows when the job finishes or is cancelled,
+  /// so its JobId and heap entry stop resolving and the slot can be reused.
+  struct Job {
+    sim::Callback on_complete;
+    std::uint32_t gen = 1;
+  };
+
+  static JobId make_id(std::uint32_t slot, std::uint32_t gen) {
+    return (static_cast<JobId>(gen) << 32) | slot;
+  }
+  bool live(std::uint32_t slot, std::uint32_t gen) const {
+    return jobs_[slot].gen == gen;
+  }
+  /// Move the job's callback out and return its slot to the free list.
+  sim::Callback release_job(std::uint32_t slot);
+
   double rate_per_job() const;
   void advance();      // integrate V up to sim_.now()
-  void reschedule();   // re-arm the next-completion event
+  void reschedule();   // re-key (or arm, or disarm) the completion event
   void on_completion_event();
-  void pop_cancelled_top();
+  void pop_stale_top();
 
   sim::Simulation& sim_;
   int cores_;
@@ -90,16 +110,17 @@ class CpuResource {
   double factor_ = 1.0;
 
   std::priority_queue<HeapJob, std::vector<HeapJob>, std::greater<>> heap_;
-  std::unordered_set<JobId> cancelled_;
-  std::unordered_map<JobId, std::function<void()>> callbacks_;
+  std::vector<Job> jobs_;
+  std::vector<std::uint32_t> free_jobs_;
+  std::vector<sim::Callback> done_;  // completions of one event, reused
   std::size_t live_jobs_ = 0;
+  std::uint64_t next_seq_ = 0;
 
   double v_ = 0;                 // virtual time, in ns of per-job service
   sim::SimTime last_update_;
   double work_done_ns_ = 0;      // foreground core-ns completed
   double stall_ns_ = 0;          // integral of (1-factor) dt
   sim::EventId completion_event_ = sim::kInvalidEventId;
-  JobId next_job_id_ = 1;
 
   // probe state
   double probe_last_work_ns_ = 0;

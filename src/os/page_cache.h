@@ -1,10 +1,10 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "metrics/time_series.h"
+#include "sim/callback.h"
 #include "sim/simulation.h"
 
 namespace ntier::os {
@@ -29,7 +29,7 @@ class PageCache {
   /// throttle limit, the writing thread is parked and `proceed` runs only
   /// after writeback drains the cache. With no limit set this is exactly
   /// write_dirty + an immediate `proceed()`.
-  void write_dirty_throttled(std::uint64_t bytes, std::function<void()> proceed);
+  void write_dirty_throttled(std::uint64_t bytes, sim::Callback proceed);
 
   /// Foreground throttle limit in bytes (0 = disabled).
   void set_throttle_limit(std::uint64_t bytes) { throttle_limit_ = bytes; }
@@ -47,7 +47,7 @@ class PageCache {
 
   /// Invoked (at most once per crossing) when dirty bytes first exceed the
   /// registered threshold; pdflush uses this for the dirty_background path.
-  void set_threshold(std::uint64_t bytes, std::function<void()> cb);
+  void set_threshold(std::uint64_t bytes, sim::Callback cb);
 
   /// Time series of the dirty-byte gauge (max + time-avg per window).
   const metrics::GaugeSeries& trace() const { return trace_; }
@@ -59,9 +59,9 @@ class PageCache {
   std::uint64_t total_written_ = 0;
   std::uint64_t threshold_ = 0;
   bool above_threshold_ = false;
-  std::function<void()> threshold_cb_;
+  sim::Callback threshold_cb_;
   std::uint64_t throttle_limit_ = 0;
-  std::vector<std::function<void()>> throttled_;
+  std::vector<sim::Callback> throttled_;
   metrics::GaugeSeries trace_;
 };
 

@@ -38,7 +38,7 @@ ApacheServer::ApacheServer(sim::Simulation& simu, os::Node& node, int id,
     // experiences the same stalls as a request does.
     prober_ = std::make_unique<lb::HealthProber>(
         simu, *balancer_,
-        [this](int w, std::function<void(bool)> done) {
+        [this](int w, lb::HealthProber::DoneFn done) {
           tomcat_link_.deliver(sim_, [this, w, done = std::move(done)]() mutable {
             tomcats_[static_cast<std::size_t>(w)]->probe(
                 [this, done = std::move(done)](bool ok) mutable {
@@ -127,57 +127,61 @@ void ApacheServer::start_worker(Work w) {
   w.req->accepted_at = sim_.now();
   ++first_attempts_;
   if (retry_budget_) retry_budget_->deposit();
-  handle(std::move(w));
+  handle(std::make_shared<Attempt>(Attempt{std::move(w)}));
 }
 
-void ApacheServer::handle(Work w) {
+void ApacheServer::handle(AttemptPtr a) {
   // Front-end CPU (parsing, handler setup), then the mod_jk balancer.
-  auto req = w.req;
-  node_.cpu().submit(req->apache_demand, [this, w = std::move(w)]() mutable {
-    dispatch(std::move(w), /*attempt=*/0);
+  const sim::SimTime demand = a->w.req->apache_demand;
+  node_.cpu().submit(demand, [this, a = std::move(a)]() mutable {
+    dispatch(std::move(a), /*attempt=*/0);
   });
 }
 
-void ApacheServer::dispatch(Work w, int attempt) {
+void ApacheServer::dispatch(AttemptPtr a, int attempt) {
   // Deadline check before entering the balancer: work that can no longer
   // finish in time is not worth an endpoint hunt.
-  if (config_.overload.deadlines && expired(w.req)) {
-    shed_worker(std::move(w), proto::ShedReason::kDeadlineExpired);
+  if (config_.overload.deadlines && expired(a->w.req)) {
+    shed_worker(a->w, proto::ShedReason::kDeadlineExpired);
     return;
   }
-  // Copy the request handle out before the capture moves `w` (argument
+  a->number = attempt;
+  a->claimed = false;
+  // Copy the request handle out before the capture moves `a` (argument
   // evaluation order is unspecified).
-  auto r = w.req;
-  balancer_->assign(r, [this, w = std::move(w), attempt](int idx) mutable {
+  auto r = a->w.req;
+  balancer_->assign(r, [this, a = std::move(a), attempt](int idx) mutable {
+    const Work& work = a->w;
     if (idx < 0) {
       // mod_jk 503: no backend yielded an endpoint.
-      maybe_retry(std::move(w), attempt);
+      maybe_retry(std::move(a), attempt);
       return;
     }
-    if (config_.overload.deadlines && expired(w.req)) {
+    if (config_.overload.deadlines && expired(work.req)) {
       // The blocking get_endpoint can park the worker for hundreds of ms —
       // the deadline may have passed while we waited. Give the endpoint
       // back and shed instead of forwarding stale work to the backend.
-      balancer_->on_response(idx, w.req);
-      shed_worker(std::move(w), proto::ShedReason::kDeadlineExpired);
+      balancer_->on_response(idx, work.req);
+      shed_worker(work, proto::ShedReason::kDeadlineExpired);
       return;
     }
-    w.req->tomcat_id = static_cast<std::int16_t>(idx);
-    w.req->assigned_at = sim_.now();
+    work.req->tomcat_id = static_cast<std::int16_t>(idx);
+    work.req->assigned_at = sim_.now();
     auto* tomcat = tomcats_[static_cast<std::size_t>(idx)];
     tomcat_link_.deliver(
-        sim_, [this, w = std::move(w), tomcat, idx, attempt]() mutable {
-          // One latch per attempt: whichever of {backend response, abandon
-          // timer} fires first owns the request's continuation. A late
-          // answer to an abandoned attempt still releases the endpoint slot
-          // and refreshes the piggybacked load report — the backend really
-          // did the work — but must not finish (or double-finish) the
-          // request the retry path already owns.
-          auto abandoned = std::make_shared<bool>(false);
+        sim_, [this, a = std::move(a), tomcat, idx, attempt]() mutable {
+          // Whichever of {backend response, abandon timer} claims the
+          // attempt first owns the request's continuation. A late answer to
+          // an abandoned attempt still releases the endpoint slot and
+          // refreshes the piggybacked load report — the backend really did
+          // the work — but must not finish (or double-finish) the request
+          // the retry path already owns.
           const bool accepted = tomcat->submit(
-              w.req,
-              [this, w, idx, attempt, abandoned](const proto::RequestPtr&) {
-                tomcat_link_.deliver(sim_, [this, w, idx, attempt, abandoned] {
+              a->w.req,
+              [this, a, idx, attempt](const proto::RequestPtr&) mutable {
+                tomcat_link_.deliver(sim_, [this, a = std::move(a), idx,
+                                            attempt] {
+                  const Work& w = a->w;
                   balancer_->on_response(idx, w.req);
                   // Piggyback the backend's load report on the response
                   // (Prequal's probe-on-response mode): keeps the pool
@@ -189,8 +193,7 @@ void ApacheServer::dispatch(Work w, int attempt) {
                     probe_pool_->observe(idx, t->reported_rif(),
                                          t->reported_latency_ms());
                   }
-                  if (*abandoned) return;
-                  *abandoned = true;
+                  if (!claim(*a, attempt)) return;
                   w.req->backend_done_at = sim_.now();
                   if (attempt > 0) ++retry_successes_;
                   // A backend tier may have shed the request mid-flight
@@ -202,34 +205,34 @@ void ApacheServer::dispatch(Work w, int attempt) {
           if (accepted && config_.retry.enabled &&
               config_.retry.attempt_timeout > sim::SimTime::zero()) {
             sim_.after(config_.retry.attempt_timeout,
-                       [this, w, attempt, abandoned]() mutable {
-                         if (*abandoned) return;
-                         *abandoned = true;
+                       [this, a, attempt]() mutable {
+                         if (!claim(*a, attempt)) return;
                          ++attempts_abandoned_;
-                         maybe_retry(std::move(w), attempt);
+                         maybe_retry(std::move(a), attempt);
                        });
           }
           if (!accepted) {
-            balancer_->on_response(idx, w.req);
-            if (w.req->shed == proto::ShedReason::kAdmission ||
-                w.req->shed == proto::ShedReason::kBrownout) {
+            balancer_->on_response(idx, a->w.req);
+            if (a->w.req->shed == proto::ShedReason::kAdmission ||
+                a->w.req->shed == proto::ShedReason::kBrownout) {
               // Explicit 503 from the backend's admission limiter: the
               // Tomcat is alive and answering fast, so don't escalate the
               // mod_jk Busy/Error state — just retry elsewhere if allowed.
-              maybe_retry(std::move(w), attempt);
+              maybe_retry(std::move(a), attempt);
             } else {
               // Connector backlog overflow or a crashed Tomcat (a connect
               // failure in mod_jk terms). Feed the failure into the
               // worker's Busy/Error escalation and retry elsewhere.
               balancer_->report_failure(idx);
-              maybe_retry(std::move(w), attempt);
+              maybe_retry(std::move(a), attempt);
             }
           }
         });
   });
 }
 
-void ApacheServer::maybe_retry(Work w, int attempt) {
+void ApacheServer::maybe_retry(AttemptPtr a, int attempt) {
+  const Work& w = a->w;
   const lb::RetryConfig& rc = config_.retry;
   const bool dead = config_.overload.deadlines && expired(w.req);
   if (retry_suppressed_ && !dead && rc.enabled &&
@@ -246,8 +249,8 @@ void ApacheServer::maybe_retry(Work w, int attempt) {
     ++retries_;
     // A backend shed from a previous attempt must not taint the retry.
     w.req->shed = proto::ShedReason::kNone;
-    sim_.after(rc.backoff(attempt), [this, w = std::move(w), attempt]() mutable {
-      dispatch(std::move(w), attempt + 1);
+    sim_.after(rc.backoff(attempt), [this, a = std::move(a), attempt]() mutable {
+      dispatch(std::move(a), attempt + 1);
     });
     return;
   }
@@ -300,7 +303,7 @@ void ApacheServer::shed_unqueued(const proto::RequestPtr& req,
   respond(req, /*ok=*/false);
 }
 
-void ApacheServer::shed_worker(Work w, proto::ShedReason reason) {
+void ApacheServer::shed_worker(const Work& w, proto::ShedReason reason) {
   count_shed(w.req, reason, /*include_apache_demand=*/false);
   finish(w, /*ok=*/false);
 }

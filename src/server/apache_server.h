@@ -141,10 +141,27 @@ class ApacheServer final : public proto::FrontEnd {
     proto::RequestPtr req;
     RespondFn respond;
   };
+  /// A request while a worker thread holds it, boxed once. The backend's
+  /// response closure and the abandon timer of the current attempt share
+  /// it: whichever claims it first owns the continuation, and a retry
+  /// re-arms it for the next attempt number, so a late answer to an
+  /// abandoned attempt finds it claimed or moved on.
+  struct Attempt {
+    Work w;
+    int number = 0;        // the live attempt
+    bool claimed = false;  // its response or abandon timer already fired
+  };
+  using AttemptPtr = std::shared_ptr<Attempt>;
+  /// Claim attempt `number` of `a`; false if it was claimed or superseded.
+  static bool claim(Attempt& a, int number) {
+    if (a.number != number || a.claimed) return false;
+    a.claimed = true;
+    return true;
+  }
   void start_worker(Work w);
-  void handle(Work w);
-  void dispatch(Work w, int attempt);
-  void maybe_retry(Work w, int attempt);
+  void handle(AttemptPtr a);
+  void dispatch(AttemptPtr a, int attempt);
+  void maybe_retry(AttemptPtr a, int attempt);
   void finish(const Work& w, bool ok);
   /// Pop the backlog until a request survives the overload checks (deadline,
   /// CoDel sojourn) and start a worker on it.
@@ -159,7 +176,7 @@ class ApacheServer final : public proto::FrontEnd {
                      proto::ShedReason reason, bool release_limiter);
   /// Shed while a worker holds the request (endpoint wait): goes through
   /// finish() so worker/limiter/backlog accounting stays intact.
-  void shed_worker(Work w, proto::ShedReason reason);
+  void shed_worker(const Work& w, proto::ShedReason reason);
   void count_shed(const proto::RequestPtr& req, proto::ShedReason reason,
                   bool include_apache_demand);
 

@@ -71,7 +71,7 @@ DbRouter::DbRouter(sim::Simulation& simu, std::vector<MySqlServer*> replicas,
 }
 
 void DbRouter::query(const proto::RequestPtr& req, sim::SimTime demand,
-                     bool is_write, std::function<void()> done) {
+                     bool is_write, sim::Callback done) {
   if (config_.overload.deadlines && req->deadline != sim::SimTime::zero() &&
       sim_.now() > req->deadline) {
     // The request can no longer finish in time; executing this query (and
@@ -89,43 +89,45 @@ void DbRouter::query(const proto::RequestPtr& req, sim::SimTime demand,
     // here, and the servlet's round trip completes so request conservation
     // is untouched.
     ++routed_;
-    const auto finish = [this, done = std::move(done)](bool ok) mutable {
+    auto finish = [this, done = std::move(done)](bool ok) {
       if (!ok) ++errors_;
       done();
     };
     if (cache_) {
       if (is_write)
-        cache_->write(cache_node_, req, demand, finish);
+        cache_->write(cache_node_, req, demand, std::move(finish));
       else
-        cache_->read(cache_node_, req, demand, finish);
+        cache_->read(cache_node_, req, demand, std::move(finish));
     } else if (is_write) {
-      kv_->write(req, demand, finish);
+      kv_->write(req, demand, std::move(finish));
     } else {
-      kv_->read(req, demand, finish);
+      kv_->read(req, demand, std::move(finish));
     }
     return;
   }
-  balancer_->assign(req, [this, req, demand,
-                          done = std::move(done)](int idx) mutable {
+  auto trip = std::make_unique<Trip>(Trip{req, demand, -1, std::move(done)});
+  balancer_->assign(req, [this, trip = std::move(trip)](int idx) mutable {
     if (idx < 0) {
       ++errors_;  // no replica reachable: the servlet sees a SQL error
-      done();
+      trip->done();
       return;
     }
     ++routed_;
-    link_.deliver(sim_, [this, req, demand, idx, done = std::move(done)]() mutable {
-      replicas_[static_cast<std::size_t>(idx)]->execute(
-          demand, [this, req, idx, done = std::move(done)]() mutable {
-            link_.deliver(sim_, [this, req, idx, done = std::move(done)] {
-              balancer_->on_response(idx, req);
-              if (probe_pool_) {
-                auto* m = replicas_[static_cast<std::size_t>(idx)];
-                probe_pool_->observe(idx, m->resident(),
-                                     m->latency_ewma_ms());
-              }
-              done();
-            });
-          });
+    trip->replica = idx;
+    link_.deliver(sim_, [this, trip = std::move(trip)]() mutable {
+      MySqlServer* replica = replicas_[static_cast<std::size_t>(trip->replica)];
+      const sim::SimTime trip_demand = trip->demand;
+      replica->execute(trip_demand, [this, trip = std::move(trip)]() mutable {
+        link_.deliver(sim_, [this, trip = std::move(trip)] {
+          const int r = trip->replica;
+          balancer_->on_response(r, trip->req);
+          if (probe_pool_) {
+            auto* m = replicas_[static_cast<std::size_t>(r)];
+            probe_pool_->observe(r, m->resident(), m->latency_ewma_ms());
+          }
+          trip->done();
+        });
+      });
     });
   });
 }

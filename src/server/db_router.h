@@ -13,6 +13,7 @@
 #include "probe/probe_pool.h"
 #include "proto/request.h"
 #include "server/mysql_server.h"
+#include "sim/callback.h"
 #include "sim/simulation.h"
 
 namespace ntier::server {
@@ -83,10 +84,10 @@ class DbRouter {
   /// rather than hanging. `is_write` routes the trip through the KV write
   /// quorum (ignored by the MySQL tier, which models every trip the same).
   void query(const proto::RequestPtr& req, sim::SimTime demand, bool is_write,
-             std::function<void()> done);
+             sim::Callback done);
   /// Read round trip (kept for call sites predating the KV tier).
   void query(const proto::RequestPtr& req, sim::SimTime demand,
-             std::function<void()> done) {
+             sim::Callback done) {
     query(req, demand, /*is_write=*/false, std::move(done));
   }
 
@@ -109,6 +110,15 @@ class DbRouter {
   const control::OverloadStats& overload_stats() const { return ostats_; }
 
  private:
+  /// One MySQL-mode round trip, boxed once so each hop's continuation
+  /// captures one pointer.
+  struct Trip {
+    proto::RequestPtr req;
+    sim::SimTime demand;
+    int replica = -1;
+    sim::Callback done;
+  };
+
   sim::Simulation& sim_;
   std::vector<MySqlServer*> replicas_;
   kv::KvTier* kv_ = nullptr;  // non-null iff constructed in kKv mode

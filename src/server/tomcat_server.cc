@@ -89,7 +89,7 @@ void TomcatServer::set_gray_degraded(double severity) {
   gray_demand_factor_ = 1.0 / (1.0 - severity);
 }
 
-void TomcatServer::probe(std::function<void(bool)> done) {
+void TomcatServer::probe(sim::Function<void(bool)> done) {
   if (crashed_) {
     done(false);
     return;
@@ -98,8 +98,7 @@ void TomcatServer::probe(std::function<void(bool)> done) {
                      [done = std::move(done)] { done(true); });
 }
 
-void TomcatServer::probe_load(
-    std::function<void(bool, double, double)> done) {
+void TomcatServer::probe_load(LoadReplyFn done) {
   if (crashed_) {
     done(false, 0.0, 0.0);
     return;
@@ -128,34 +127,30 @@ void TomcatServer::dispatch() {
     NTIER_TRACE_EVENT(trace_events_, sim_.now(), obs::EventKind::kServiceStart,
                       obs::Tier::kTomcat, id_, threads_busy_ - 1, w.req->id,
                       static_cast<double>(resident_));
-    run(std::move(w));
+    run(std::make_unique<Work>(std::move(w)));
   }
 }
 
-void TomcatServer::run(Work w) {
+void TomcatServer::run(Job job) {
   // Servlet CPU first, then the DB round trips, mirroring the
   // request-handling path (rendering happens around the queries; collapsing
   // the CPU into one job keeps the same total demand).
-  auto req = w.req;
-  sim::SimTime demand = req->tomcat_demand;
+  sim::SimTime demand = job->req->tomcat_demand;
   if (gray_degraded()) {
     demand = sim::SimTime::from_seconds(demand.to_seconds() *
                                         gray_demand_factor_);
     ++gray_inflated_;
   }
-  node_.cpu().submit(demand, [this, w = std::move(w)]() mutable {
-    // Copy the handle out before the capture moves `w` (argument evaluation
-    // order is unspecified).
-    auto r = w.req;
-    const int queries = r->db_queries;
-    db_round_trips(r, queries, [this, w = std::move(w)] { complete(w); });
+  node_.cpu().submit(demand, [this, job = std::move(job)]() mutable {
+    const int queries = job->req->db_queries;
+    db_round_trips(std::move(job), queries);
   });
 }
 
-void TomcatServer::db_round_trips(const proto::RequestPtr& req, int remaining,
-                                  std::function<void()> done) {
+void TomcatServer::db_round_trips(Job job, int remaining) {
+  const proto::RequestPtr& req = job->req;
   if (remaining <= 0) {
-    done();
+    complete(std::move(job));
     return;
   }
   if (req->shed != proto::ShedReason::kNone) {
@@ -163,7 +158,7 @@ void TomcatServer::db_round_trips(const proto::RequestPtr& req, int remaining,
     // the remaining queries and let the failure ride the normal response.
     ostats_.wasted_work_avoided_ms +=
         static_cast<double>(remaining) * req->mysql_demand.to_millis();
-    done();
+    complete(std::move(job));
     return;
   }
   // Each round trip checks a connection out of the router's pool and back
@@ -171,18 +166,24 @@ void TomcatServer::db_round_trips(const proto::RequestPtr& req, int remaining,
   // writes (reads gather, the write commits), which the KV tier routes
   // through the write quorum.
   const bool is_write = remaining <= static_cast<int>(req->db_writes);
-  db_.query(req, req->mysql_demand, is_write,
-            [this, req, remaining, done = std::move(done)]() mutable {
-              db_round_trips(req, remaining - 1, std::move(done));
+  // Copy the handle out before the capture moves `job` (argument evaluation
+  // order is unspecified).
+  const proto::RequestPtr r = req;
+  db_.query(r, r->mysql_demand, is_write,
+            [this, job = std::move(job), remaining]() mutable {
+              db_round_trips(std::move(job), remaining - 1);
             });
 }
 
-void TomcatServer::complete(const Work& w) {
+void TomcatServer::complete(Job job) {
   // Access/servlet/localhost log records become dirty pages (§III-B). If
   // the node's dirty throttle is configured and tripped, the servlet thread
   // parks inside the log write (balance_dirty_pages) and the response waits
   // for writeback — thread-pool starvation as a second stall mode.
-  node_.page_cache().write_dirty_throttled(w.req->log_bytes, [this, w] {
+  const std::uint32_t log_bytes = job->req->log_bytes;
+  node_.page_cache().write_dirty_throttled(log_bytes, [this,
+                                                       job = std::move(job)] {
+    const Work& w = *job;
     --threads_busy_;
     --resident_;
     ++served_;

@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
 
 #include "control/admission.h"
@@ -12,6 +11,7 @@
 #include "os/node.h"
 #include "proto/request.h"
 #include "server/db_router.h"
+#include "sim/callback.h"
 #include "sim/simulation.h"
 
 namespace ntier::server {
@@ -39,7 +39,9 @@ struct TomcatConfig {
 /// Tomcat logs").
 class TomcatServer {
  public:
-  using RespondFn = std::function<void(const proto::RequestPtr&)>;
+  using RespondFn = sim::Function<void(const proto::RequestPtr&)>;
+  /// Answer to a load probe: ok, requests in flight, latency EWMA in ms.
+  using LoadReplyFn = sim::Function<void(bool ok, double rif, double latency_ms)>;
 
   TomcatServer(sim::Simulation& simu, os::Node& node, int id, DbRouter& db,
                TomcatConfig config = {},
@@ -57,13 +59,12 @@ class TomcatServer {
   /// Answer a health probe: refused instantly while crashed, otherwise a
   /// tiny CPU job whose completion time reflects the run-queue depth (a
   /// capacity-stalled CPU answers late — which is the point).
-  void probe(std::function<void(bool)> done);
+  void probe(sim::Function<void(bool ok)> done);
 
   /// Answer a load probe (probe::ProbePool): same CPU path as probe(), but
   /// the reply reports requests-in-flight at answer time plus the recent
   /// service-latency EWMA — the state Prequal-style policies rank on.
-  void probe_load(std::function<void(bool ok, double rif, double latency_ms)>
-                      done);
+  void probe_load(LoadReplyFn done);
 
   /// Recent whole-request service latency (submit → response), EWMA in ms.
   double latency_ewma_ms() const { return latency_ewma_ms_; }
@@ -132,11 +133,13 @@ class TomcatServer {
     RespondFn respond;
     sim::SimTime arrived;
   };
+  /// A request on a servlet thread: boxed once, so each continuation of its
+  /// CPU -> DB -> log chain captures one pointer.
+  using Job = std::unique_ptr<Work>;
   void dispatch();
-  void run(Work w);
-  void db_round_trips(const proto::RequestPtr& req, int remaining,
-                      std::function<void()> done);
-  void complete(const Work& w);
+  void run(Job job);
+  void db_round_trips(Job job, int remaining);
+  void complete(Job job);
   bool expired(const proto::RequestPtr& req) const {
     return req->deadline != sim::SimTime::zero() && sim_.now() > req->deadline;
   }

@@ -6,7 +6,7 @@
 
 namespace ntier::sim {
 
-EventId EventQueue::push(SimTime at, std::function<void()> fn) {
+EventId EventQueue::push(SimTime at, Callback fn) {
   std::uint32_t slot;
   if (free_slots_.empty()) {
     slot = static_cast<std::uint32_t>(slots_.size());
@@ -19,7 +19,8 @@ EventId EventQueue::push(SimTime at, std::function<void()> fn) {
   s.fn = std::move(fn);
   s.armed = true;
 
-  heap_.push_back(Node{at, ++scheduled_, slot});
+  ++scheduled_;
+  heap_.push_back(Node{at, ++seq_, slot});
   sift_up(heap_.size() - 1);
   ++live_;
   return make_id(slot, s.gen);
@@ -36,15 +37,33 @@ bool EventQueue::cancel(EventId id) {
   return true;
 }
 
-void EventQueue::sift_up(std::size_t i) {
+bool EventQueue::reschedule(EventId id, SimTime at) {
+  const std::uint32_t slot = slot_of(id);
+  if (slot >= slots_.size()) return false;
+  const Slot& s = slots_[slot];
+  if (s.gen != gen_of(id) || !s.armed) return false;
+  // The fresh sequence number orders the event after everything already
+  // queued for `at`, so a later time or an equal one only moves it down.
+  const std::size_t i = s.pos;
+  const bool earlier = at < heap_[i].at;
+  heap_[i].at = at;
+  heap_[i].seq = ++seq_;
+  if (earlier)
+    sift_up(i);
+  else
+    sift_down(i);
+  return true;
+}
+
+void EventQueue::sift_up(std::size_t i) const {
   const Node node = heap_[i];
   while (i > 0) {
     const std::size_t parent = (i - 1) / kArity;
     if (!before(node, heap_[parent])) break;
-    heap_[i] = heap_[parent];
+    place(i, heap_[parent]);
     i = parent;
   }
-  heap_[i] = node;
+  place(i, node);
 }
 
 void EventQueue::sift_down(std::size_t i) const {
@@ -58,10 +77,10 @@ void EventQueue::sift_down(std::size_t i) const {
     for (std::size_t c = first + 1; c < last; ++c)
       if (before(heap_[c], heap_[best])) best = c;
     if (!before(heap_[best], node)) break;
-    heap_[i] = heap_[best];
+    place(i, heap_[best]);
     i = best;
   }
-  heap_[i] = node;
+  place(i, node);
 }
 
 void EventQueue::remove_top() const {

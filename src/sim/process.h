@@ -2,11 +2,11 @@
 
 #include <coroutine>
 #include <exception>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <utility>
 
+#include "sim/callback.h"
 #include "sim/simulation.h"
 #include "sim/time.h"
 
@@ -82,7 +82,7 @@ class Completion {
   Completion() : state_(std::make_shared<State>()) {}
 
   /// The callback to hand to the producer.
-  std::function<void(T)> callback() {
+  Function<void(T)> callback() {
     return [state = state_](T value) {
       state->value.emplace(std::move(value));
       if (state->waiter) {
@@ -111,7 +111,7 @@ class Completion<void> {
  public:
   Completion() : state_(std::make_shared<State>()) {}
 
-  std::function<void()> callback() {
+  Callback callback() {
     return [state = state_] {
       state->done = true;
       if (state->waiter) {

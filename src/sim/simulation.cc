@@ -4,12 +4,21 @@
 
 namespace ntier::sim {
 
-EventId Simulation::at(SimTime when, std::function<void()> fn) {
-  if (when < now_) {
-    throw std::logic_error("Simulation::at: scheduling in the past (" +
-                           when.to_string() + " < " + now_.to_string() + ")");
-  }
+namespace {
+[[noreturn]] void throw_past(const char* what, SimTime when, SimTime now) {
+  throw std::logic_error(std::string(what) + ": scheduling in the past (" +
+                         when.to_string() + " < " + now.to_string() + ")");
+}
+}  // namespace
+
+EventId Simulation::at(SimTime when, Callback fn) {
+  if (when < now_) throw_past("Simulation::at", when, now_);
   return events_.push(when, std::move(fn));
+}
+
+bool Simulation::reschedule(EventId id, SimTime when) {
+  if (when < now_) throw_past("Simulation::reschedule", when, now_);
+  return events_.reschedule(id, when);
 }
 
 std::uint64_t Simulation::run_until(SimTime until) {

@@ -1,9 +1,9 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 
+#include "sim/callback.h"
 #include "sim/event_queue.h"
 #include "sim/rng.h"
 #include "sim/time.h"
@@ -26,15 +26,20 @@ class Simulation {
   SimTime now() const { return now_; }
 
   /// Schedule at an absolute simulated time (must be >= now()).
-  EventId at(SimTime when, std::function<void()> fn);
+  EventId at(SimTime when, Callback fn);
 
   /// Schedule after a relative delay (>= 0).
-  EventId after(SimTime delay, std::function<void()> fn) {
+  EventId after(SimTime delay, Callback fn) {
     return at(now_ + delay, std::move(fn));
   }
 
   /// Cancel a pending event; false if it already fired or was cancelled.
   bool cancel(EventId id) { return events_.cancel(id); }
+
+  /// Move a pending event to absolute time `when` (>= now()); it fires
+  /// exactly where cancel + re-schedule would have put it. False if it
+  /// already fired or was cancelled. See EventQueue::reschedule.
+  bool reschedule(EventId id, SimTime when);
 
   /// Run until the queue drains or the clock passes `until`, whichever comes
   /// first. Events at exactly `until` still fire. Returns the number of

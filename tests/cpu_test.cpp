@@ -193,5 +193,33 @@ TEST(Cpu, ManyJobsConserveWork) {
   EXPECT_EQ(completed, n);
 }
 
+TEST(Cpu, OneStandingCompletionEventPerBusyPeriod) {
+  // Arrivals and departures re-key the pending completion event instead of
+  // cancelling it and pushing a new one: while 1000 overlapping jobs run,
+  // the queue only gains one push per completion event plus the one that
+  // opens each busy period.
+  Simulation s;
+  CpuResource cpu(s, 2);
+  constexpr int n = 1000;
+  int completed = 0;
+  int busy_periods = 0;
+  for (int i = 0; i < n; ++i) {
+    // Arrivals every 0.5 ms with 0.3-2.1 ms demands keep 2 cores busy with
+    // several jobs sharing; a 20 ms gap after every 100 lets the CPU idle.
+    const SimTime arrival = SimTime::micros(500 * i + 20'000 * (i / 100));
+    const SimTime demand = SimTime::micros(300 + (i * 37) % 1800);
+    s.at(arrival, [&, demand] {
+      if (cpu.jobs_running() == 0) ++busy_periods;
+      cpu.submit(demand, [&] { ++completed; });
+    });
+  }
+  const std::uint64_t before = s.events_scheduled();
+  s.run();
+  ASSERT_EQ(completed, n);
+  EXPECT_GT(busy_periods, 1);
+  EXPECT_LE(s.events_scheduled() - before,
+            static_cast<std::uint64_t>(completed + busy_periods));
+}
+
 }  // namespace
 }  // namespace ntier::os

@@ -144,9 +144,11 @@ TEST(EventQueue, CancelledBacklogDrainsToEmpty) {
 }
 
 TEST(EventQueue, RandomInterleavingMatchesReferenceModel) {
-  // Drive push/cancel/pop at scale against a std::multimap reference and
-  // require identical fire sequences — the heap + generation-slot machinery
-  // must be observationally equivalent to the obvious implementation.
+  // Drive push/cancel/reschedule/pop at scale against a std::multimap
+  // reference and require identical fire sequences — the heap +
+  // generation-slot machinery must be observationally equivalent to the
+  // obvious implementation. The reference models a reschedule as cancel +
+  // push of the same payload (a fresh sequence number at the new time).
   EventQueue q;
   std::multimap<std::pair<std::int64_t, std::uint64_t>, int> ref;  // (t, seq)
   std::map<EventId, decltype(ref)::iterator> live;
@@ -154,38 +156,52 @@ TEST(EventQueue, RandomInterleavingMatchesReferenceModel) {
   std::vector<int> got, want;
   std::uint64_t seq = 0;
   int payload = 0;
+  int rescheduled = 0;
   for (int step = 0; step < 200'000; ++step) {
     const auto roll = rnd() % 100;
-    if (roll < 55 || q.empty()) {
+    if (roll < 45 || q.empty()) {
       const auto t = static_cast<std::int64_t>(rnd() % 1000);
       const int p = payload++;
       const EventId id = q.push(SimTime::micros(t), [&got, p] { got.push_back(p); });
       live.emplace(id, ref.emplace(std::make_pair(t, seq++), p));
-    } else if (roll < 75 && !live.empty()) {
+    } else if (roll < 60 && !live.empty()) {
       auto it = live.begin();
       std::advance(it, static_cast<long>(rnd() % live.size()));
       EXPECT_TRUE(q.cancel(it->first));
       EXPECT_FALSE(q.cancel(it->first));  // idempotent
       ref.erase(it->second);
       live.erase(it);
+    } else if (roll < 75 && !live.empty()) {
+      // Re-key to an earlier, equal or later time, relative to the others.
+      auto it = live.begin();
+      std::advance(it, static_cast<long>(rnd() % live.size()));
+      const auto t = static_cast<std::int64_t>(rnd() % 1000);
+      ASSERT_TRUE(q.reschedule(it->first, SimTime::micros(t)));
+      const int p = it->second->second;
+      ref.erase(it->second);
+      it->second = ref.emplace(std::make_pair(t, seq++), p);
+      ++rescheduled;
     } else {
       ASSERT_FALSE(ref.empty());
       EXPECT_EQ(q.next_time(), SimTime::micros(ref.begin()->first.first));
       auto fired = q.pop();
       fired.fn();
       want.push_back(ref.begin()->second);
-      // The popped event is no longer cancellable.
-      live.erase(live.find([&] {
+      // The popped event is no longer cancellable or reschedulable.
+      const EventId popped = [&] {
         for (const auto& [id, rit] : live)
           if (rit == ref.begin()) return id;
         return kInvalidEventId;
-      }()));
+      }();
+      EXPECT_FALSE(q.reschedule(popped, SimTime::micros(5)));
+      live.erase(live.find(popped));
       ref.erase(ref.begin());
       ASSERT_EQ(got.size(), want.size());
       EXPECT_EQ(got.back(), want.back());
     }
     EXPECT_EQ(q.size(), ref.size());
   }
+  EXPECT_GT(rescheduled, 10'000);
   while (!q.empty()) {
     auto fired = q.pop();
     fired.fn();
@@ -193,6 +209,58 @@ TEST(EventQueue, RandomInterleavingMatchesReferenceModel) {
     ref.erase(ref.begin());
   }
   EXPECT_EQ(got, want);
+}
+
+TEST(EventQueue, StaleOrFiredIdCannotBeRescheduled) {
+  EventQueue q;
+  int fired = 0;
+  const EventId cancelled = q.push(SimTime::millis(1), [&] { ++fired; });
+  const EventId popped = q.push(SimTime::millis(2), [&] { ++fired; });
+  EXPECT_TRUE(q.cancel(cancelled));
+  EXPECT_FALSE(q.reschedule(cancelled, SimTime::millis(3)));
+  q.pop().fn();
+  EXPECT_FALSE(q.reschedule(popped, SimTime::millis(3)));
+  EXPECT_FALSE(q.reschedule(kInvalidEventId, SimTime::millis(3)));
+  EXPECT_FALSE(q.reschedule(999999, SimTime::millis(3)));  // never existed
+  // Both slots are reused by new pushes; the old ids must not move them.
+  const EventId fresh1 = q.push(SimTime::millis(10), [&] { ++fired; });
+  const EventId fresh2 = q.push(SimTime::millis(11), [&] { ++fired; });
+  EXPECT_FALSE(q.reschedule(cancelled, SimTime::millis(1)));
+  EXPECT_FALSE(q.reschedule(popped, SimTime::millis(1)));
+  EXPECT_EQ(q.next_time(), SimTime::millis(10));
+  EXPECT_TRUE(q.reschedule(fresh2, SimTime::millis(4)));
+  EXPECT_EQ(q.next_time(), SimTime::millis(4));
+  EXPECT_EQ(q.size(), 2u);
+  while (!q.empty()) q.pop().fn();
+  EXPECT_EQ(fired, 3);
+  EXPECT_FALSE(q.reschedule(fresh1, SimTime::millis(20)));
+}
+
+TEST(EventQueue, RekeyedEventFiresAfterEqualTimeEventsPushedBefore) {
+  EventQueue q;
+  std::vector<int> order;
+  const EventId moved = q.push(SimTime::millis(9), [&] { order.push_back(0); });
+  q.push(SimTime::millis(5), [&] { order.push_back(1); });
+  q.push(SimTime::millis(5), [&] { order.push_back(2); });
+  // Re-keyed earlier, onto an instant that already holds two events: it
+  // takes a fresh sequence number, so it lands behind them.
+  EXPECT_TRUE(q.reschedule(moved, SimTime::millis(5)));
+  // An event pushed after the re-key comes after it again.
+  q.push(SimTime::millis(5), [&] { order.push_back(3); });
+  // Re-keying to its current time also moves it behind equal-time peers.
+  const EventId same = q.push(SimTime::millis(7), [&] { order.push_back(4); });
+  q.push(SimTime::millis(7), [&] { order.push_back(5); });
+  EXPECT_TRUE(q.reschedule(same, SimTime::millis(7)));
+  while (!q.empty()) q.pop().fn();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 0, 3, 5, 4}));
+}
+
+TEST(EventQueue, RescheduleIsNotCountedAsScheduling) {
+  EventQueue q;
+  const EventId id = q.push(SimTime::millis(1), [] {});
+  for (int i = 0; i < 10; ++i) EXPECT_TRUE(q.reschedule(id, SimTime::millis(i)));
+  EXPECT_EQ(q.total_scheduled(), 1u);
+  EXPECT_EQ(q.size(), 1u);
 }
 
 TEST(EventQueue, TotalScheduledCountsEveryPush) {

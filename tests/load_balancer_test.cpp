@@ -265,6 +265,30 @@ TEST(LoadBalancer, AllWorkersExhaustedIsBalancerError) {
   EXPECT_EQ(lb->balancer_errors(), 1u);
 }
 
+TEST(LoadBalancer, WideBalancerTriesEveryWorkerOnce) {
+  // Each worker is tried exactly once per assignment, and a recycled
+  // context starts the next assignment with a clean attempted-set.
+  for (const int n : {4, 70}) {
+    Simulation s;
+    BalancerConfig cfg;
+    cfg.endpoint_pool_size = 1;
+    cfg.busy_recovery = SimTime::zero();  // failed workers stay eligible
+    LoadBalancer lb(s, n, make_policy(PolicyKind::kTotalRequest),
+                    make_acquirer(MechanismKind::kNonBlocking), cfg);
+    for (int i = 0; i < n; ++i)
+      lb.mutable_pool(i).try_acquire();  // every pool exhausted
+    int got = 0;
+    lb.assign(make_req(), [&](int idx) { got = idx; });
+    EXPECT_EQ(got, -1) << n;
+    for (int i = 0; i < n; ++i)
+      EXPECT_EQ(lb.record(i).acquire_failures, 1u) << n << " worker " << i;
+    // The context is recycled for the next assignment with a clean set.
+    lb.mutable_pool(n - 1).release();
+    lb.assign(make_req(), [&](int idx) { got = idx; });
+    EXPECT_EQ(got, n - 1) << n;
+  }
+}
+
 TEST(LoadBalancer, BlockingMechanismConsumesTimeOnStalledWorker) {
   Simulation s;
   BalancerConfig cfg;

@@ -78,6 +78,25 @@ TEST(Simulation, CancelledEventDoesNotFire) {
   EXPECT_EQ(fired, 0);
 }
 
+TEST(Simulation, RescheduledEventFiresAtItsNewTime) {
+  Simulation s;
+  SimTime fired_at;
+  int fired = 0;
+  const EventId id = s.after(SimTime::millis(10), [&] {
+    ++fired;
+    fired_at = s.now();
+  });
+  s.after(SimTime::millis(2), [&] {
+    EXPECT_THROW(s.reschedule(id, SimTime::millis(1)), std::logic_error);
+    EXPECT_TRUE(s.reschedule(id, SimTime::millis(4)));
+  });
+  s.run();
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(fired_at, SimTime::millis(4));
+  EXPECT_FALSE(s.reschedule(id, SimTime::millis(20)));  // already fired
+  EXPECT_EQ(s.events_scheduled(), 2u);
+}
+
 TEST(Simulation, DeterministicAcrossRunsWithSameSeed) {
   auto trace = [](std::uint64_t seed) {
     Simulation s(seed);

@@ -27,6 +27,7 @@ namespace ntier::bench {
 using experiment::BenchOptions;
 using experiment::Experiment;
 using experiment::ExperimentConfig;
+using experiment::RunMetric;
 using lb::MechanismKind;
 using lb::PolicyKind;
 using sim::SimTime;
@@ -46,48 +47,37 @@ inline std::unique_ptr<Experiment> run_experiment(ExperimentConfig cfg,
   return e;
 }
 
-/// Append one JSON result row for a finished run (the contract behind
-/// `scripts/run_all_benches.sh --json`): bench name, run ordinal, the
-/// Table-I style aggregates, the VLRT count, and the wall-clock cost.
-inline void append_json_row(const BenchOptions& opt, Experiment& e,
-                            double wall_ms, int run) {
-  std::ofstream f(opt.json_path, std::ios::app);
+/// Open `--json FILE` for appending and start a result row with the keys
+/// every row shares; false (with a warning) when the file cannot be opened.
+inline bool begin_json_row(std::ofstream& f, const BenchOptions& opt, int run,
+                           const std::string& label, const std::string& policy,
+                           const std::string& mechanism, std::uint64_t seed) {
+  f.open(opt.json_path, std::ios::app);
   if (!f) {
     std::cerr << "  [json] cannot append to " << opt.json_path << "\n";
-    return;
+    return false;
   }
+  f << std::setprecision(10) << "{\"bench\":\"" << opt.program
+    << "\",\"run\":" << run << ",\"label\":\"" << label
+    << "\",\"policy\":\"" << policy << "\",\"mechanism\":\"" << mechanism
+    << "\",\"seed\":" << seed;
+  return true;
+}
+
+/// Append one JSON result row for a finished run (the contract behind
+/// `scripts/run_all_benches.sh --json`): bench name, run ordinal, every run
+/// metric under its RunSummary name, the VLRT count, and the wall-clock cost.
+inline void append_json_row(const BenchOptions& opt, Experiment& e,
+                            double wall_ms, int run) {
   const experiment::RunSummary s = experiment::summarize(e);
-  f << "{\"bench\":\"" << opt.program << "\",\"run\":" << run << ",\"label\":\""
-    << s.label << "\",\"policy\":\"" << s.policy << "\",\"mechanism\":\""
-    << s.mechanism << "\",\"seed\":" << e.config().seed
-    << ",\"completed\":" << s.completed << ",\"dropped\":" << s.dropped
-    << ",\"balancer_errors\":" << s.balancer_errors
-    << ",\"mean_ms\":" << s.mean_rt_ms << ",\"p50_ms\":" << s.p50_ms
-    << ",\"p99_ms\":" << s.p99_ms
-    << ",\"p999_ms\":" << s.p999_ms << ",\"vlrt_count\":" << e.log().vlrt_count()
-    << ",\"vlrt_fraction\":" << s.vlrt_fraction
-    << ",\"goodput_rps\":" << s.goodput_rps
-    << ",\"total_sheds\":"
-    << (s.admission_sheds + s.brownout_sheds + s.deadline_sheds +
-        s.sojourn_sheds)
-    << ",\"deadline_sheds\":" << s.deadline_sheds
-    << ",\"wasted_work_avoided_ms\":" << s.wasted_work_avoided_ms
-    << ",\"kv_quorum_failed\":" << s.kv_quorum_failed
-    << ",\"kv_handoff_dropped\":" << s.kv_handoff_dropped
-    << ",\"kv_migration_shed\":" << s.kv_migration_shed
-    << ",\"kv_hints_replayed\":" << s.kv_hints_replayed
-    << ",\"kv_degraded_ms\":" << s.kv_degraded_ms
-    << ",\"cache_hits\":" << s.cache_hits
-    << ",\"cache_misses\":" << s.cache_misses
-    << ",\"cache_hit_ratio\":" << s.cache_hit_ratio
-    << ",\"cache_invalidations\":" << s.cache_invalidations
-    << ",\"cache_coalesced_fills\":" << s.cache_coalesced_fills
-    << ",\"online_episodes\":" << s.online_episodes
-    << ",\"online_matched\":" << s.online_matched
-    << ",\"online_false_positives\":" << s.online_false_positives
-    << ",\"detection_latency_ms\":" << s.online_median_detection_ms
-    << ",\"trace_kept_fraction\":" << s.trace_kept_fraction
-    << ",\"wall_ms\":" << wall_ms << "}\n";
+  std::ofstream f;
+  if (!begin_json_row(f, opt, run, s.label, s.policy, s.mechanism,
+                      e.config().seed))
+    return;
+  for (RunMetric m : experiment::kRunMetrics)
+    f << ",\"" << experiment::run_metric_name(m) << "\":" << s.value(m);
+  f << ",\"vlrt_count\":" << e.log().vlrt_count() << ",\"wall_ms\":" << wall_ms
+    << "}\n";
 }
 
 /// Trace/JSON-aware variant: enables event tracing when the bench was run
@@ -126,48 +116,26 @@ inline std::unique_ptr<Experiment> run_experiment(const BenchOptions& opt,
   return e;
 }
 
-/// JSON row for a sweep: same shape as append_json_row plus `runs`, the
-/// `*_ci95` half-widths, and the pooled-distribution tail columns, so
+/// JSON row for a sweep: same shape as append_json_row plus `runs`, each
+/// metric's cross-run mean under its name and 95% CI half-width under
+/// `<name>_ci95`, and the pooled-distribution tail columns, so
 /// BENCH_results.json rows say how trustworthy each number is.
 inline void append_sweep_json_row(const BenchOptions& opt,
                                   const experiment::AggregateSummary& agg,
                                   double wall_ms, int run) {
-  std::ofstream f(opt.json_path, std::ios::app);
-  if (!f) {
-    std::cerr << "  [json] cannot append to " << opt.json_path << "\n";
+  std::ofstream f;
+  if (!begin_json_row(f, opt, run, agg.label, agg.policy, agg.mechanism,
+                      agg.base_seed))
     return;
+  f << ",\"runs\":" << agg.runs();
+  for (RunMetric m : experiment::kRunMetrics) {
+    const auto name = experiment::run_metric_name(m);
+    f << ",\"" << name << "\":" << agg[m].mean << ",\"" << name
+      << "_ci95\":" << agg[m].ci95_half;
   }
-  f << "{\"bench\":\"" << opt.program << "\",\"run\":" << run << ",\"label\":\""
-    << agg.label << "\",\"policy\":\"" << agg.policy << "\",\"mechanism\":\""
-    << agg.mechanism << "\",\"seed\":" << agg.base_seed
-    << ",\"runs\":" << agg.runs()
-    << ",\"completed\":" << agg.completed.mean
-    << ",\"completed_ci95\":" << agg.completed.ci95_half
-    << ",\"dropped\":" << agg.dropped.mean
-    << ",\"balancer_errors\":" << agg.balancer_errors.mean
-    << ",\"mean_ms\":" << agg.mean_rt_ms.mean
-    << ",\"mean_ms_ci95\":" << agg.mean_rt_ms.ci95_half
-    << ",\"p99_ms\":" << agg.p99_ms.mean
-    << ",\"p99_ms_ci95\":" << agg.p99_ms.ci95_half
-    << ",\"p999_ms\":" << agg.p999_ms.mean
-    << ",\"p999_ms_ci95\":" << agg.p999_ms.ci95_half
-    << ",\"vlrt_fraction\":" << agg.vlrt_fraction.mean
-    << ",\"vlrt_fraction_ci95\":" << agg.vlrt_fraction.ci95_half
-    << ",\"pooled_p99_ms\":" << agg.pooled_p99_ms()
+  f << ",\"pooled_p99_ms\":" << agg.pooled_p99_ms()
     << ",\"pooled_p999_ms\":" << agg.pooled_p999_ms()
     << ",\"pooled_vlrt_fraction\":" << agg.pooled_vlrt_fraction()
-    << ",\"goodput_rps\":" << agg.goodput_rps.mean
-    << ",\"goodput_rps_ci95\":" << agg.goodput_rps.ci95_half
-    << ",\"total_sheds\":" << agg.total_sheds.mean
-    << ",\"wasted_work_avoided_ms\":" << agg.wasted_work_avoided_ms.mean
-    << ",\"cache_hits\":" << agg.cache_hits.mean
-    << ",\"cache_misses\":" << agg.cache_misses.mean
-    << ",\"cache_invalidations\":" << agg.cache_invalidations.mean
-    << ",\"cache_coalesced_fills\":" << agg.cache_coalesced_fills.mean
-    << ",\"online_episodes\":" << agg.online_episodes.mean
-    << ",\"online_false_positives\":" << agg.online_false_positives.mean
-    << ",\"detection_latency_ms\":" << agg.online_median_detection_ms.mean
-    << ",\"trace_kept_fraction\":" << agg.trace_kept_fraction.mean
     << ",\"wall_ms\":" << wall_ms << "}\n";
 }
 
@@ -212,14 +180,15 @@ inline void print_sweep_row(std::ostream& os, const std::string& label,
       << std::setprecision(prec) << ci;
     return s.str();
   };
+  const auto& completed = agg[RunMetric::completed];
+  const auto& mean_rt = agg[RunMetric::mean_rt_ms];
+  const auto& vlrt = agg[RunMetric::vlrt_fraction];
+  const auto& normal = agg[RunMetric::normal_fraction];
   os << std::left << std::setw(44) << label << std::right << std::setw(11)
-     << static_cast<std::int64_t>(agg.completed.mean + 0.5) << std::setw(13)
-     << pm(agg.mean_rt_ms.mean, agg.mean_rt_ms.ci95_half, 2) << std::setw(12)
-     << pm(agg.vlrt_fraction.mean * 100, agg.vlrt_fraction.ci95_half * 100, 2)
-     << std::setw(12)
-     << pm(agg.normal_fraction.mean * 100, agg.normal_fraction.ci95_half * 100,
-           1)
-     << "\n";
+     << static_cast<std::int64_t>(completed.mean + 0.5) << std::setw(13)
+     << pm(mean_rt.mean, mean_rt.ci95_half, 2) << std::setw(12)
+     << pm(vlrt.mean * 100, vlrt.ci95_half * 100, 2) << std::setw(12)
+     << pm(normal.mean * 100, normal.ci95_half * 100, 1) << "\n";
 }
 
 /// The standard 4A/4T/1M environment with millibottlenecks on the Tomcats.

@@ -173,10 +173,13 @@ int main(int argc, char** argv) {
         const auto agg = run_sweep(opt, std::move(cfg), /*announce=*/false);
         print_sweep_row(std::cout, row_label, agg);
         cell.vlrts = static_cast<std::uint64_t>(
-            agg.vlrt_fraction.mean * agg.completed.mean + 0.5);
-        cell.vlrt_fraction = agg.vlrt_fraction.mean;
-        const double lookups = agg.cache_hits.mean + agg.cache_misses.mean;
-        cell.hit_ratio = lookups > 0 ? agg.cache_hits.mean / lookups : 0.0;
+            agg[RunMetric::vlrt_fraction].mean *
+                agg[RunMetric::completed].mean +
+            0.5);
+        cell.vlrt_fraction = agg[RunMetric::vlrt_fraction].mean;
+        const double hits = agg[RunMetric::cache_hits].mean;
+        const double lookups = hits + agg[RunMetric::cache_misses].mean;
+        cell.hit_ratio = lookups > 0 ? hits / lookups : 0.0;
       } else {
         auto e = run_experiment(opt, std::move(cfg), /*announce=*/false);
         std::cout << e->log().summary_row(row_label)

@@ -142,12 +142,14 @@ int main(int argc, char** argv) {
         const auto agg = run_sweep(opt, std::move(cfg), /*announce=*/false);
         print_sweep_row(std::cout, row_label, agg);
         const auto vlrt = static_cast<std::uint64_t>(
-            agg.vlrt_fraction.mean * agg.completed.mean + 0.5);
+            agg[RunMetric::vlrt_fraction].mean *
+                agg[RunMetric::completed].mean +
+            0.5);
         if (sc == Scenario::kHotShard) hot_vlrt_min = std::min(hot_vlrt_min, vlrt);
         if (sc == Scenario::kQuiet) quiet_vlrt_max = std::max(quiet_vlrt_max, vlrt);
         if (sc == Scenario::kReplicaCrash) {
           crash_quorum_failed_total += static_cast<std::uint64_t>(
-              agg.kv_quorum_failed.mean + 0.5);
+              agg[RunMetric::kv_quorum_failed].mean + 0.5);
           // per-run hint detail is a single-run artifact; the aggregated
           // kv_quorum_failed carries the sweep verdict
           crash_hints_replayed_min = 1;

@@ -65,15 +65,20 @@ Cell run_cell(const BenchOptions& opt, const std::string& label,
   c.label = label;
   if (opt.sweep_seeds > 1) {
     const auto agg = run_sweep(opt, std::move(cfg), /*announce=*/false);
-    c.completed = static_cast<std::int64_t>(agg.completed.mean + 0.5);
-    c.goodput = agg.goodput_rps.mean;
-    c.mean_ms = agg.mean_rt_ms.mean;
+    c.completed =
+        static_cast<std::int64_t>(agg[RunMetric::completed].mean + 0.5);
+    c.goodput = agg[RunMetric::goodput_rps].mean;
+    c.mean_ms = agg[RunMetric::mean_rt_ms].mean;
     c.p999_ms = agg.pooled_p999_ms();
     c.vlrt = agg.pooled_vlrt_fraction();
-    c.sheds = static_cast<std::uint64_t>(agg.total_sheds.mean + 0.5);
+    c.sheds = static_cast<std::uint64_t>(
+        agg[RunMetric::admission_sheds].mean +
+        agg[RunMetric::brownout_sheds].mean +
+        agg[RunMetric::deadline_sheds].mean +
+        agg[RunMetric::sojourn_sheds].mean + 0.5);
     c.deadline_sheds =
-        static_cast<std::uint64_t>(agg.deadline_sheds.mean + 0.5);
-    c.wasted_ms = agg.wasted_work_avoided_ms.mean;
+        static_cast<std::uint64_t>(agg[RunMetric::deadline_sheds].mean + 0.5);
+    c.wasted_ms = agg[RunMetric::wasted_work_avoided_ms].mean;
     return c;
   }
   auto e = run_experiment(opt, std::move(cfg), /*announce=*/false);

@@ -99,14 +99,18 @@ int main(int argc, char** argv) {
       const auto agg = run_sweep(opt, std::move(cfg), /*announce=*/false);
       print_sweep_row(std::cout, row.label, agg);
       if (row.policy == PolicyKind::kCurrentLoad) {
-        remedy_mean = agg.mean_rt_ms.mean;
+        remedy_mean = agg[RunMetric::mean_rt_ms].mean;
         remedy_vlrt = static_cast<std::uint64_t>(
-            agg.vlrt_fraction.mean * agg.completed.mean + 0.5);
+            agg[RunMetric::vlrt_fraction].mean *
+                agg[RunMetric::completed].mean +
+            0.5);
       }
       if (row.policy == PolicyKind::kPrequal) {
-        prequal_mean = agg.mean_rt_ms.mean;
+        prequal_mean = agg[RunMetric::mean_rt_ms].mean;
         prequal_vlrt = static_cast<std::uint64_t>(
-            agg.vlrt_fraction.mean * agg.completed.mean + 0.5);
+            agg[RunMetric::vlrt_fraction].mean *
+                agg[RunMetric::completed].mean +
+            0.5);
       }
       continue;
     }

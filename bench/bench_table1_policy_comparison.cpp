@@ -55,7 +55,7 @@ int main(int argc, char** argv) {
     if (opt.sweep_seeds > 1) {
       const auto agg = run_sweep(opt, std::move(cfg), /*announce=*/false);
       print_sweep_row(std::cout, row.label, agg);
-      mean_rt = agg.mean_rt_ms.mean;
+      mean_rt = agg[RunMetric::mean_rt_ms].mean;
     } else {
       auto e = run_experiment(opt, std::move(cfg), /*announce=*/false);
       std::cout << e->log().summary_row(row.label) << "\n";

@@ -4,13 +4,16 @@
 #   scripts/run_all_benches.sh [--full] [--json] [--sweep-seeds N] [--jobs J] [output-file]
 #
 # --full runs the paper-scale (70 000 clients, 180 s) configurations.
-# --json additionally collects one JSON result row per experiment run
-#        (mean/P99/P99.9 response time, VLRT counts, wall-clock) into
+# --json additionally collects one JSON result row per experiment run into
 #        BENCH_results.json — each bench appends rows via its --json flag.
+#        A row carries every scalar run metric under its RunSummary name
+#        (mean_rt_ms, p999_ms, vlrt_fraction, online_median_detection_ms,
+#        ...: the keys of `ntier_run --json`), plus vlrt_count and wall_ms.
 # --sweep-seeds N runs the sweep-capable benches (Table I, the probe-policy
 #        extension) N times per row with derived per-replica seeds; their
 #        table rows and JSON rows then carry mean +- 95% CI columns
-#        (mean_ms_ci95, p99_ms_ci95, ...) instead of single-seed points.
+#        (<name>_ci95 next to every metric, plus pooled_p99_ms,
+#        pooled_p999_ms, pooled_vlrt_fraction) instead of single-seed points.
 # --jobs J runs the sweep replicas on J worker threads; the output bytes
 #        are identical for every J.
 #

@@ -125,8 +125,12 @@ TEST(Overload, SweepOutputIsJobsInvariantWithControlActive) {
   const auto par = make_sweep(3);
   // Byte-identical aggregation regardless of worker threads, sheds and all.
   EXPECT_EQ(seq.to_json_string(), par.to_json_string());
-  EXPECT_GT(seq.total_sheds.mean, 0.0);
-  EXPECT_GT(seq.goodput_rps.mean, 0.0);
+  EXPECT_GT(seq[RunMetric::admission_sheds].mean +
+                seq[RunMetric::brownout_sheds].mean +
+                seq[RunMetric::deadline_sheds].mean +
+                seq[RunMetric::sojourn_sheds].mean,
+            0.0);
+  EXPECT_GT(seq[RunMetric::goodput_rps].mean, 0.0);
 }
 
 }  // namespace

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "test_util.h"
 
@@ -112,12 +115,76 @@ TEST(SweepRunner, MergedSketchAndOnlineColumnsAreJobsInvariant) {
   std::ostringstream runs, csv;
   a.per_run_csv(runs);
   a.to_csv(csv);
-  EXPECT_NE(runs.str().find("online_episodes,online_false_positives,"
-                            "online_median_detection_ms,trace_kept_fraction"),
-            std::string::npos);
-  EXPECT_NE(csv.str().find("online_episodes,"), std::string::npos);
-  EXPECT_NE(csv.str().find("online_median_detection_ms,"), std::string::npos);
-  EXPECT_NE(csv.str().find("trace_kept_fraction,"), std::string::npos);
+  const std::string header =
+      "," + runs.str().substr(0, runs.str().find('\n')) + ",";
+  for (const std::string key :
+       {"online_episodes", "online_false_positives",
+        "online_median_detection_ms", "trace_kept_fraction"}) {
+    EXPECT_NE(header.find("," + key + ","), std::string::npos) << key;
+    EXPECT_NE(csv.str().find("\n" + key + ","), std::string::npos) << key;
+  }
+}
+
+/// Non-overlapping occurrences of `needle` in `hay`.
+int count_of(const std::string& hay, const std::string& needle) {
+  int n = 0;
+  for (auto at = hay.find(needle); at != std::string::npos;
+       at = hay.find(needle, at + needle.size()))
+    ++n;
+  return n;
+}
+
+TEST(RunMetricSchema, EveryMetricReachesEveryOutputOnce) {
+  // The contract of NTIER_RUN_METRICS: each run metric is a key exactly
+  // once in the RunSummary JSON, the sweep JSON metrics block, the
+  // per-metric CSV and the per-run CSV header, and its aggregate is the
+  // mean of the per-run values.
+  SweepConfig sc;
+  sc.base = tiny_config();
+  sc.base.telemetry.enabled = true;
+  sc.base.online_detect = true;
+  sc.num_runs = 2;
+  const AggregateSummary agg = SweepRunner(sc).run();
+  ASSERT_EQ(agg.runs(), 2);
+
+  const std::string run_json = agg.per_run[0].to_json_string();
+  const std::string sweep_json = agg.to_json_string();
+  const auto metrics_at = sweep_json.find("\"metrics\": {");
+  const auto pooled_at = sweep_json.find("\"pooled\": {");
+  ASSERT_NE(metrics_at, std::string::npos);
+  ASSERT_NE(pooled_at, std::string::npos);
+  const std::string metrics_json =
+      sweep_json.substr(metrics_at, pooled_at - metrics_at);
+
+  std::ostringstream aggregate_csv, runs_csv;
+  agg.to_csv(aggregate_csv);
+  agg.per_run_csv(runs_csv);
+  std::istringstream aggregate_lines(aggregate_csv.str());
+  std::string line;
+  std::getline(aggregate_lines, line);  // metric,n,mean,...
+  std::vector<std::string> rows;
+  while (std::getline(aggregate_lines, line))
+    rows.push_back(line.substr(0, line.find(',')));
+  std::istringstream header_line(
+      runs_csv.str().substr(0, runs_csv.str().find('\n')));
+  std::vector<std::string> header;
+  while (std::getline(header_line, line, ',')) header.push_back(line);
+
+  EXPECT_EQ(rows.size(), kNumRunMetrics);
+  EXPECT_EQ(header.size(), kNumRunMetrics + 2);  // run,seed,...
+  for (RunMetric m : kRunMetrics) {
+    const std::string name(run_metric_name(m));
+    SCOPED_TRACE(name);
+    const std::string key = "\"" + name + "\":";
+    EXPECT_EQ(count_of(run_json, key), 1);
+    EXPECT_EQ(count_of(metrics_json, key), 1);
+    EXPECT_EQ(std::count(rows.begin(), rows.end(), name), 1);
+    EXPECT_EQ(std::count(header.begin(), header.end(), name), 1);
+    double sum = 0;
+    for (const RunSummary& r : agg.per_run) sum += r.value(m);
+    EXPECT_DOUBLE_EQ(agg[m].mean, sum / agg.runs());
+    EXPECT_EQ(agg[m].n, agg.runs());
+  }
 }
 
 TEST(SweepRunner, AggregatesMatchPerRunSummaries) {
@@ -137,9 +204,9 @@ TEST(SweepRunner, AggregatesMatchPerRunSummaries) {
     mean_sum += r.mean_rt_ms;
   }
   EXPECT_EQ(agg.pooled.count(), pooled_expected);
-  EXPECT_NEAR(agg.mean_rt_ms.mean, mean_sum / 3.0, 1e-12);
-  EXPECT_GT(agg.mean_rt_ms.stddev, 0.0);  // seeds actually differ
-  EXPECT_EQ(agg.completed.n, 3);
+  EXPECT_NEAR(agg[RunMetric::mean_rt_ms].mean, mean_sum / 3.0, 1e-12);
+  EXPECT_GT(agg[RunMetric::mean_rt_ms].stddev, 0.0);  // seeds actually differ
+  EXPECT_EQ(agg[RunMetric::completed].n, 3);
 }
 
 TEST(AggregateSummary, MergeIsAssociative) {

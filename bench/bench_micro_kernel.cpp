@@ -31,7 +31,8 @@ BENCHMARK(BM_EventQueueScheduleFire);
 // Timer-reset pattern: every retransmit/timeout timer in the testbed is
 // scheduled and then cancelled when the response lands first. The old
 // priority_queue + unordered_set implementation paid a hash insert + erase
-// per event here; the indexed heap cancels in O(1).
+// per event here; the slot table finds the event by index and removes it
+// from whichever tier holds it.
 static void BM_EventQueueCancelHeavy(benchmark::State& state) {
   for (auto _ : state) {
     sim::Simulation s;
@@ -92,6 +93,71 @@ static void BM_EventQueueReschedule(benchmark::State& state) {
   state.SetLabel(rekey ? "reschedule" : "cancel+push");
 }
 BENCHMARK(BM_EventQueueReschedule)->Arg(0)->Arg(1);
+
+// The fig6_baseline shape: 7000 closed-loop clients each keep one think
+// timer pending (exponential, mean 700 ms) while requests make ~11 short
+// hops per think time (link and service steps, 65-130 us apart). Each
+// iteration fires the earliest event and re-arms it the same way, so the
+// population stays at 7000 far timers plus 12 near chains. With one heap
+// every pop sifts through the far timers; the timing wheel keeps them out.
+static void BM_EventQueueTimerPopulation(benchmark::State& state) {
+  constexpr int kClients = 7000;
+  constexpr int kHopChains = 12;
+  std::mt19937_64 rng(42);
+  std::exponential_distribution<double> think_s(1.0 / 0.7);
+  std::uniform_int_distribution<std::int64_t> hop_ns(65'000, 130'000);
+  sim::EventQueue q;
+  bool hop = false;
+  for (int i = 0; i < kClients; ++i)
+    q.push(sim::SimTime::from_seconds(think_s(rng)), [&hop] { hop = false; });
+  for (int i = 0; i < kHopChains; ++i)
+    q.push(sim::SimTime::nanos(hop_ns(rng)), [&hop] { hop = true; });
+  for (auto _ : state) {
+    auto fired = q.pop();
+    fired.fn();
+    if (hop)
+      q.push(fired.at + sim::SimTime::nanos(hop_ns(rng)),
+             [&hop] { hop = true; });
+    else
+      q.push(fired.at + sim::SimTime::from_seconds(think_s(rng)),
+             [&hop] { hop = false; });
+  }
+  benchmark::DoNotOptimize(q.size());
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_EventQueueTimerPopulation);
+
+// The replay_flash_day shape: open-loop arrivals at 8000 req/s, each arming
+// a 5 s client-patience timer that the response (exponential, mean 20 ms)
+// cancels. 60k requests span 7.5 simulated seconds, so a queue that keeps
+// cancelled timers until their time comes round holds up to 40k of them.
+static void BM_EventQueuePatienceTimers(benchmark::State& state) {
+  constexpr int kRequests = 60'000;
+  struct Load {
+    sim::Simulation& s;
+    std::mt19937_64 rng{42};
+    std::exponential_distribution<double> gap_s{8000.0};
+    std::exponential_distribution<double> response_s{50.0};
+    int left = kRequests;
+    int answered = 0;
+    void arrive() {
+      const sim::EventId patience = s.after(sim::SimTime::seconds(5), [] {});
+      s.after(sim::SimTime::from_seconds(response_s(rng)),
+              [this, patience] { answered += s.cancel(patience); });
+      if (--left > 0)
+        s.after(sim::SimTime::from_seconds(gap_s(rng)), [this] { arrive(); });
+    }
+  };
+  for (auto _ : state) {
+    sim::Simulation s;
+    Load load{s};
+    s.at(sim::SimTime::zero(), [&load] { load.arrive(); });
+    s.run();
+    benchmark::DoNotOptimize(load.answered);
+  }
+  state.SetItemsProcessed(state.iterations() * kRequests);
+}
+BENCHMARK(BM_EventQueuePatienceTimers)->Unit(benchmark::kMillisecond);
 
 // A continuation's life on the event path: built from a lambda with a
 // 40-byte capture (a pointer plus four words, the size of a typical

@@ -44,7 +44,7 @@ class Link {
   }
 
   /// Deliver `fn` on the far side after the link latency.
-  void deliver(sim::Simulation& simu, sim::Callback fn) const {
+  void deliver(sim::Simulation& simu, sim::Callback&& fn) const {
     simu.after(latency(), std::move(fn));
   }
 

@@ -1,12 +1,31 @@
 #include "sim/event_queue.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <utility>
 
 namespace ntier::sim {
 
-EventId EventQueue::push(SimTime at, Callback fn) {
+namespace {
+
+/// Index of the first set bit at or after `from` in a kBuckets-bit map;
+/// kBuckets when there is none.
+template <std::size_t N>
+std::size_t next_used(const std::array<std::uint64_t, N>& used,
+                      std::size_t from) {
+  for (std::size_t w = from / 64; w < N; ++w) {
+    std::uint64_t word = used[w];
+    if (w == from / 64) word &= ~std::uint64_t{0} << (from % 64);
+    if (word != 0)
+      return w * 64 + static_cast<std::size_t>(std::countr_zero(word));
+  }
+  return N * 64;
+}
+
+}  // namespace
+
+EventId EventQueue::push(SimTime at, Callback&& fn) {
   std::uint32_t slot;
   if (free_slots_.empty()) {
     slot = static_cast<std::uint32_t>(slots_.size());
@@ -17,45 +36,81 @@ EventId EventQueue::push(SimTime at, Callback fn) {
   }
   Slot& s = slots_[slot];
   s.fn = std::move(fn);
-  s.armed = true;
+  s.at = at;
+  s.seq = ++seq_;
+  const std::uint32_t gen = s.gen;
 
   ++scheduled_;
-  heap_.push_back(Node{at, ++seq_, slot});
-  sift_up(heap_.size() - 1);
   ++live_;
-  return make_id(slot, s.gen);
+  file(slot);
+  if (heap_.empty()) refill();
+  return make_id(slot, gen);
+}
+
+EventQueue::Slot* EventQueue::pending(EventId id) {
+  const std::uint32_t slot = slot_of(id);
+  if (slot >= slots_.size()) return nullptr;  // never existed
+  Slot& s = slots_[slot];
+  if (s.gen != gen_of(id) || s.tier == Tier::kFree) return nullptr;
+  return &s;
 }
 
 bool EventQueue::cancel(EventId id) {
-  const std::uint32_t slot = slot_of(id);
-  if (slot >= slots_.size()) return false;  // never existed
-  Slot& s = slots_[slot];
-  if (s.gen != gen_of(id) || !s.armed) return false;  // fired or cancelled
-  s.armed = false;
-  s.fn = nullptr;  // free the closure now; the heap node dies lazily
+  Slot* s = pending(id);
+  if (s == nullptr) return false;  // fired, cancelled or never existed
+  if (s->tier == Tier::kNear)
+    heap_erase(s->pos);
+  else
+    unlink(slot_of(id));
+  s->fn = nullptr;  // free the closure now
+  release_slot(*s, slot_of(id));
   --live_;
+  if (heap_.empty() && live_ > 0) refill();
   return true;
 }
 
 bool EventQueue::reschedule(EventId id, SimTime at) {
+  Slot* s = pending(id);
+  if (s == nullptr) return false;
   const std::uint32_t slot = slot_of(id);
-  if (slot >= slots_.size()) return false;
-  const Slot& s = slots_[slot];
-  if (s.gen != gen_of(id) || !s.armed) return false;
-  // The fresh sequence number orders the event after everything already
-  // queued for `at`, so a later time or an equal one only moves it down.
-  const std::size_t i = s.pos;
-  const bool earlier = at < heap_[i].at;
-  heap_[i].at = at;
-  heap_[i].seq = ++seq_;
-  if (earlier)
-    sift_up(i);
+  if (s->tier == Tier::kNear && bucket_of(at) < cur_) {
+    // Stays near: re-key in place. The fresh sequence number orders the
+    // event after everything already queued for `at`, so a later time or
+    // an equal one only moves it down.
+    const std::size_t i = s->pos;
+    const bool earlier = at < heap_[i].at;
+    s->at = heap_[i].at = at;
+    s->seq = heap_[i].seq = ++seq_;
+    if (earlier)
+      sift_up(i);
+    else
+      sift_down(i);
+    return true;
+  }
+  if (s->tier == Tier::kNear)
+    heap_erase(s->pos);
   else
-    sift_down(i);
+    unlink(slot);  // before the re-key: the bucket is found from `at`
+  s->at = at;
+  s->seq = ++seq_;
+  file(slot);
+  if (heap_.empty()) refill();
   return true;
 }
 
-void EventQueue::sift_up(std::size_t i) const {
+EventQueue::Fired EventQueue::pop() {
+  assert(!heap_.empty() && "pop() on empty EventQueue");
+  const Node top = heap_[0];
+  Slot& s = slots_[top.slot];
+  Fired f{top.at, std::move(s.fn)};
+  release_slot(s, top.slot);
+  heap_erase(0);
+  --live_;
+  if (heap_.empty() && live_ > 0) refill();
+  return f;
+}
+
+void EventQueue::sift_up(std::size_t i) {
   const Node node = heap_[i];
   while (i > 0) {
     const std::size_t parent = (i - 1) / kArity;
@@ -66,7 +121,7 @@ void EventQueue::sift_up(std::size_t i) const {
   place(i, node);
 }
 
-void EventQueue::sift_down(std::size_t i) const {
+void EventQueue::sift_down(std::size_t i) {
   const std::size_t n = heap_.size();
   const Node node = heap_[i];
   while (true) {
@@ -83,42 +138,138 @@ void EventQueue::sift_down(std::size_t i) const {
   place(i, node);
 }
 
-void EventQueue::remove_top() const {
-  heap_[0] = heap_.back();
+void EventQueue::heap_erase(std::size_t i) {
+  const Node removed = heap_[i];
+  const Node last = heap_.back();
   heap_.pop_back();
-  if (!heap_.empty()) sift_down(0);
+  if (i == heap_.size()) return;
+  place(i, last);
+  if (before(last, removed))
+    sift_up(i);
+  else
+    sift_down(i);
 }
 
-void EventQueue::release_slot(std::uint32_t slot) const {
-  ++slots_[slot].gen;  // stale ids to this slot stop resolving
-  free_slots_.push_back(slot);
-}
-
-void EventQueue::prune_top() const {
-  while (!heap_.empty() && !slots_[heap_[0].slot].armed) {
-    release_slot(heap_[0].slot);
-    remove_top();
+void EventQueue::file(std::uint32_t slot) {
+  Slot& s = slots_[slot];
+  const std::int64_t b = bucket_of(s.at);
+  if (b < cur_) {
+    s.tier = Tier::kNear;
+    heap_.push_back(Node{s.at, s.seq, slot});
+    sift_up(heap_.size() - 1);
+  } else if ((b >> kLevelBits) == (cur_ >> kLevelBits)) {
+    link_level(l0_, b & kLevelMask, slot, Tier::kL0);
+  } else if ((b >> 2 * kLevelBits) == (cur_ >> 2 * kLevelBits)) {
+    link_level(l1_, (b >> kLevelBits) & kLevelMask, slot, Tier::kL1);
+  } else {
+    link(overflow_, slot, Tier::kOverflow);
   }
 }
 
-SimTime EventQueue::next_time() const {
-  prune_top();
-  if (heap_.empty()) return SimTime::max();
-  return heap_[0].at;
+void EventQueue::link(std::uint32_t& head, std::uint32_t slot, Tier tier) {
+  Slot& s = slots_[slot];
+  s.tier = tier;
+  s.prev = kNil;
+  s.next = head;
+  if (head != kNil) slots_[head].prev = slot;
+  head = slot;
 }
 
-EventQueue::Fired EventQueue::pop() {
-  prune_top();
-  assert(!heap_.empty() && "pop() on empty EventQueue");
-  const Node top = heap_[0];
-  Slot& s = slots_[top.slot];
-  Fired f{top.at, std::move(s.fn)};
-  s.armed = false;
-  s.fn = nullptr;
-  release_slot(top.slot);
-  remove_top();
-  --live_;
-  return f;
+void EventQueue::link_level(Level& level, std::int64_t index,
+                            std::uint32_t slot, Tier tier) {
+  const auto i = static_cast<std::size_t>(index);
+  link(level.head[i], slot, tier);
+  level.used[i / 64] |= std::uint64_t{1} << (i % 64);
+}
+
+void EventQueue::unlink(std::uint32_t slot) {
+  const Slot& s = slots_[slot];
+  if (s.next != kNil) slots_[s.next].prev = s.prev;
+  if (s.prev != kNil) {
+    slots_[s.prev].next = s.next;
+    return;
+  }
+  // First in its list: the head moves on; an emptied bucket leaves the map.
+  if (s.tier == Tier::kOverflow) {
+    overflow_ = s.next;
+    return;
+  }
+  const std::int64_t b = bucket_of(s.at);
+  Level& level = s.tier == Tier::kL0 ? l0_ : l1_;
+  const auto i = static_cast<std::size_t>(
+      (s.tier == Tier::kL0 ? b : b >> kLevelBits) & kLevelMask);
+  level.head[i] = s.next;
+  if (s.next == kNil) level.used[i / 64] &= ~(std::uint64_t{1} << (i % 64));
+}
+
+std::uint32_t EventQueue::take_list(Level& level, std::int64_t index) {
+  const auto i = static_cast<std::size_t>(index);
+  const std::uint32_t first = level.head[i];
+  level.head[i] = kNil;
+  level.used[i / 64] &= ~(std::uint64_t{1} << (i % 64));
+  return first;
+}
+
+void EventQueue::enter_span() {
+  const std::int64_t span = cur_ >> kLevelBits;
+  // On a new L1 span, L1 is empty and the overflow list holds its events.
+  std::uint32_t next = (span & kLevelMask) == 0
+                           ? std::exchange(overflow_, kNil)
+                           : take_list(l1_, span & kLevelMask);
+  while (next != kNil) {
+    const std::uint32_t slot = next;
+    next = slots_[slot].next;
+    file(slot);
+  }
+}
+
+void EventQueue::refill() {
+  assert(heap_.empty() && live_ > 0);
+  while (true) {
+    const std::size_t i0 = next_used(l0_.used, cur_ & kLevelMask);
+    if (i0 < kBuckets) {
+      // Open the bucket: every node enters the empty heap, then heapify.
+      // The list runs newest first and later pushes mostly fire later, so
+      // reversed it is close to heap order and the heapify moves little.
+      std::uint32_t next = take_list(l0_, static_cast<std::int64_t>(i0));
+      while (next != kNil) {
+        Slot& s = slots_[next];
+        s.tier = Tier::kNear;
+        heap_.push_back(Node{s.at, s.seq, next});
+        next = s.next;
+      }
+      std::reverse(heap_.begin(), heap_.end());
+      for (std::size_t i = 0; i < heap_.size(); ++i)
+        slots_[heap_[i].slot].pos = static_cast<std::uint32_t>(i);
+      for (std::size_t i = (heap_.size() + kArity - 2) / kArity; i-- > 0;)
+        sift_down(i);
+      cur_ = (cur_ & ~kLevelMask) + static_cast<std::int64_t>(i0) + 1;
+      if ((cur_ & kLevelMask) == 0) enter_span();
+      return;
+    }
+    // The rest of this L0 span is empty: skip to the next L1 bucket that
+    // holds events, or else to the L1 span of the earliest overflow event.
+    const std::int64_t span = cur_ >> kLevelBits;
+    const std::size_t from = static_cast<std::size_t>(span & kLevelMask) + 1;
+    const std::size_t i1 = next_used(l1_.used, from);
+    if (i1 < kBuckets) {
+      cur_ = ((span & ~kLevelMask) + static_cast<std::int64_t>(i1))
+             << kLevelBits;
+    } else {
+      std::int64_t earliest = INT64_MAX;
+      for (std::uint32_t s = overflow_; s != kNil; s = slots_[s].next)
+        earliest = std::min(earliest, bucket_of(slots_[s].at));
+      assert(earliest != INT64_MAX);
+      cur_ = (earliest >> 2 * kLevelBits) << 2 * kLevelBits;
+    }
+    enter_span();
+  }
+}
+
+void EventQueue::release_slot(Slot& s, std::uint32_t slot) {
+  s.tier = Tier::kFree;
+  ++s.gen;  // stale ids to this slot stop resolving
+  free_slots_.push_back(slot);
 }
 
 }  // namespace ntier::sim

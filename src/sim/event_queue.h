@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -14,23 +15,48 @@ namespace ntier::sim {
 using EventId = std::uint64_t;
 inline constexpr EventId kInvalidEventId = 0;
 
-/// Min-heap of timed callbacks. Ties are broken by scheduling order (FIFO
-/// among events at the same instant) so runs are deterministic.
+/// Priority queue of timed callbacks. Ties are broken by scheduling order
+/// (FIFO among events at the same instant) so runs are deterministic.
 ///
-/// Implementation: a 4-ary heap of small POD nodes {time, sequence, slot}
-/// over a generation-tagged slot table that owns the callbacks; each slot
-/// tracks its node's heap position. Cancellation is O(1) (disarm the slot,
-/// release the closure) and lazy in the heap: dead nodes are skipped when
-/// they surface at the top. Rescheduling re-keys the node in place. No
-/// per-event hashing anywhere on the push/cancel/pop path — this is the
+/// Implementation: two tiers over one generation-tagged slot table that
+/// owns the callbacks.
+///  - The *near heap*: a 4-ary heap of small POD nodes {time, sequence,
+///    slot} holding every event whose L0 bucket (time >> kBucketShift) lies
+///    before the cursor `cur_`. Firing order is decided here, by
+///    (time, sequence) alone.
+///  - A two-level hashed *timing wheel* holding everything at or after the
+///    cursor, as intrusive doubly-linked lists threaded through the slots:
+///    L0 has kBuckets buckets of 2^kBucketShift ns (the cursor's L0 span),
+///    L1 has kBuckets buckets of one L0 span each (the rest of the cursor's
+///    L1 span), and one overflow list holds the rest. When the near heap
+///    runs dry the next non-empty L0 bucket is opened into it; crossing an
+///    L0 span cascades the next L1 bucket into L0, crossing an L1 span
+///    re-files the overflow list.
+/// The wheel only decides *when* a node enters the heap, never the order in
+/// which nodes fire, so a run is the same as with one heap. What it saves:
+/// the many far-future timers (client think times, timeouts) stay out of
+/// the heap, so sifts are short.
+///
+/// Cancellation is eager and O(1) in the wheel (unlink) and O(log n) in the
+/// heap (remove by position); the slot and its closure are released at
+/// once, so no tier ever holds a dead node. Rescheduling re-keys a heap node
+/// in place when it stays near and re-files it otherwise. No per-event
+/// hashing or allocation anywhere on the push/cancel/pop path — this is the
 /// simulator's hottest loop (every request touches it a dozen times).
 class EventQueue {
  public:
+  /// Width of an L0 bucket: 2^22 ns (4.19 ms).
+  static constexpr int kBucketShift = 22;
+  /// Buckets per wheel level: 2^10. L0 spans 2^32 ns (4.3 s), L1 spans
+  /// 2^42 ns (73 min).
+  static constexpr int kLevelBits = 10;
+  static constexpr std::size_t kBuckets = std::size_t{1} << kLevelBits;
+
   /// Schedule `fn` at absolute time `at`. Returns an id for cancellation.
-  EventId push(SimTime at, Callback fn);
+  EventId push(SimTime at, Callback&& fn);
 
   /// Cancel a pending event. Returns false if the event already fired,
-  /// was already cancelled, or never existed. O(1).
+  /// was already cancelled, or never existed.
   bool cancel(EventId id);
 
   /// Move a pending event to time `at`, keeping its id and callback. It
@@ -40,15 +66,17 @@ class EventQueue {
   /// the event already fired, was cancelled, or never existed.
   bool reschedule(EventId id, SimTime at);
 
-  /// True when no live (non-cancelled) event remains.
+  /// True when no pending event remains.
   bool empty() const { return live_ == 0; }
 
   std::size_t size() const { return live_; }
 
-  /// Time of the earliest live event; SimTime::max() when empty.
-  SimTime next_time() const;
+  /// Time of the earliest pending event; SimTime::max() when empty.
+  SimTime next_time() const {
+    return heap_.empty() ? SimTime::max() : heap_[0].at;
+  }
 
-  /// Pop the earliest live event. Precondition: !empty().
+  /// Pop the earliest event. Precondition: !empty().
   struct Fired {
     SimTime at;
     Callback fn;
@@ -60,6 +88,8 @@ class EventQueue {
 
  private:
   static constexpr std::size_t kArity = 4;
+  static constexpr std::uint32_t kNil = UINT32_MAX;
+  static constexpr std::int64_t kLevelMask = kBuckets - 1;
 
   /// What moves during sifts: 24 bytes, no callback traffic.
   struct Node {
@@ -68,15 +98,31 @@ class EventQueue {
     std::uint32_t slot = 0;
   };
 
+  /// Where a slot's event is filed; kFree when it holds no pending event.
+  enum class Tier : std::uint8_t { kFree, kNear, kL0, kL1, kOverflow };
+
   /// Owns the callback; `gen` tags the slot's current incarnation so stale
   /// EventIds from earlier occupants of a reused slot never resolve. A
   /// slot's generation only grows (32-bit: wraps after 4G reuses of one
   /// slot, far beyond any run), so ids are unique for the queue's lifetime.
   struct Slot {
     Callback fn;
+    SimTime at;                  // firing time
+    std::uint64_t seq = 0;       // as in Node
     std::uint32_t gen = 1;
-    std::uint32_t pos = 0;  // index of this slot's node in heap_
-    bool armed = false;     // scheduled, not yet cancelled or fired
+    union {                      // which one is in use follows `tier`
+      std::uint32_t pos;         // kNear: index of this slot's node in heap_
+      std::uint32_t next = kNil; // wheel tiers: list links
+    };
+    std::uint32_t prev = kNil;
+    Tier tier = Tier::kFree;
+  };
+
+  /// One wheel level: list heads plus a bitmap of the non-empty buckets.
+  struct Level {
+    Level() { head.fill(kNil); }
+    std::array<std::uint32_t, kBuckets> head;
+    std::array<std::uint64_t, kBuckets / 64> used{};
   };
 
   static std::uint32_t slot_of(EventId id) {
@@ -88,30 +134,50 @@ class EventQueue {
   static EventId make_id(std::uint32_t slot, std::uint32_t gen) {
     return (static_cast<EventId>(gen) << 32) | slot;
   }
+  static std::int64_t bucket_of(SimTime at) { return at.ns() >> kBucketShift; }
 
   static bool before(const Node& a, const Node& b) {
     return a.at != b.at ? a.at < b.at : a.seq < b.seq;
   }
 
+  /// The slot `id` names if it holds a pending event, else nullptr.
+  Slot* pending(EventId id);
+
   /// Write `node` at heap index `i` and record the position in its slot.
-  void place(std::size_t i, const Node& node) const {
+  void place(std::size_t i, const Node& node) {
     heap_[i] = node;
     slots_[node.slot].pos = static_cast<std::uint32_t>(i);
   }
-  void sift_up(std::size_t i) const;
-  void sift_down(std::size_t i) const;
-  /// Remove heap_[0], restoring the heap property.
-  void remove_top() const;
-  /// Return a slot to the free list, bumping its generation.
-  void release_slot(std::uint32_t slot) const;
-  /// Drop cancelled nodes from the top until a live one (or empty) surfaces.
-  void prune_top() const;
+  void sift_up(std::size_t i);
+  void sift_down(std::size_t i);
+  /// Remove heap_[i], restoring the heap property.
+  void heap_erase(std::size_t i);
 
-  // Mutable: next_time() is logically const but may shed cancelled tops.
-  mutable std::vector<Node> heap_;
-  mutable std::vector<Slot> slots_;
-  mutable std::vector<std::uint32_t> free_slots_;
-  std::size_t live_ = 0;       // armed events (heap may hold more nodes)
+  /// File a slot by its `at` into the near heap or a wheel list.
+  void file(std::uint32_t slot);
+  void link(std::uint32_t& head, std::uint32_t slot, Tier tier);
+  void link_level(Level& level, std::int64_t index, std::uint32_t slot,
+                  Tier tier);
+  void unlink(std::uint32_t slot);
+  /// Detach a whole list and return its first slot.
+  static std::uint32_t take_list(Level& level, std::int64_t index);
+  /// Refill the empty near heap from the wheel. Precondition: live_ > 0.
+  void refill();
+  /// The cursor has just moved to the start of an L0 span: bring that
+  /// span's events into L0 (from L1, or from overflow on an L1 span).
+  void enter_span();
+
+  /// Return a slot to the free list, bumping its generation.
+  void release_slot(Slot& s, std::uint32_t slot);
+
+  std::vector<Node> heap_;
+  std::vector<Slot> slots_;
+  std::vector<std::uint32_t> free_slots_;
+  Level l0_;
+  Level l1_;
+  std::uint32_t overflow_ = kNil;
+  std::int64_t cur_ = 0;       // first L0 bucket not yet opened into heap_
+  std::size_t live_ = 0;       // pending events, all tiers
   std::uint64_t scheduled_ = 0;
   std::uint64_t seq_ = 0;      // last sequence number handed out
 };

@@ -11,7 +11,7 @@ namespace {
 }
 }  // namespace
 
-EventId Simulation::at(SimTime when, Callback fn) {
+EventId Simulation::at(SimTime when, Callback&& fn) {
   if (when < now_) throw_past("Simulation::at", when, now_);
   return events_.push(when, std::move(fn));
 }

@@ -26,10 +26,10 @@ class Simulation {
   SimTime now() const { return now_; }
 
   /// Schedule at an absolute simulated time (must be >= now()).
-  EventId at(SimTime when, Callback fn);
+  EventId at(SimTime when, Callback&& fn);
 
   /// Schedule after a relative delay (>= 0).
-  EventId after(SimTime delay, Callback fn) {
+  EventId after(SimTime delay, Callback&& fn) {
     return at(now_ + delay, std::move(fn));
   }
 

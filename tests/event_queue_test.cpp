@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
 #include <map>
 #include <random>
+#include <utility>
 #include <vector>
 
 namespace ntier::sim {
@@ -209,6 +212,212 @@ TEST(EventQueue, RandomInterleavingMatchesReferenceModel) {
     ref.erase(ref.begin());
   }
   EXPECT_EQ(got, want);
+}
+
+TEST(EventQueue, TierSpanningInterleavingMatchesReferenceModel) {
+  // The reference model of the test above, with times that reach every tier
+  // of the queue: each push or re-key lands log-uniformly 1 us .. 2^43 ns
+  // after the last popped time (an L0 span is 2^32 ns, an L1 span 2^42 ns,
+  // anything further is overflow), some exactly on an L0 bucket or L0 span
+  // boundary, and some on the time of a pending event that was filed while
+  // that time was still far away, so equal-time events reach the heap
+  // through different tiers and must still fire FIFO. Growth and drain
+  // phases alternate, so the queue fills up and also runs down to its far
+  // events, which makes the clock jump across spans.
+  constexpr int kBucketBits = EventQueue::kBucketShift;
+  constexpr int kSpanBits = kBucketBits + EventQueue::kLevelBits;
+  constexpr int kL1SpanBits = kSpanBits + EventQueue::kLevelBits;
+  using Key = std::pair<std::int64_t, std::uint64_t>;  // (t, seq)
+  std::multimap<Key, int> ref;
+  std::vector<EventId> ids;                       // by payload
+  std::vector<decltype(ref)::iterator> entry;     // by payload
+  std::vector<int> live;                          // pending payloads
+  std::vector<std::size_t> live_at;               // payload -> index in live
+  const auto drop_live = [&](int p) {
+    const std::size_t i = live_at[static_cast<std::size_t>(p)];
+    live[i] = live.back();
+    live_at[static_cast<std::size_t>(live[i])] = i;
+    live.pop_back();
+  };
+
+  EventQueue q;
+  std::mt19937_64 rnd(7);
+  std::vector<int> got;
+  std::uint64_t seq = 0;
+  std::int64_t now = 0;  // time of the last pop
+  int by_distance[4] = {0, 0, 0, 0};  // < L0 bucket, < L0 span, < L1 span, more
+  int on_boundary = 0, on_pending_time = 0, moved_out = 0, moved_in = 0;
+  int span_crossings = 0, l1_span_crossings = 0;
+  std::uniform_real_distribution<double> log_delta(
+      std::log(1e3), std::log(std::ldexp(1.0, kL1SpanBits + 1)));
+  const auto distance_class = [&](std::int64_t t) {
+    const std::int64_t d = t - now;
+    return d < (std::int64_t{1} << kBucketBits)   ? 0
+           : d < (std::int64_t{1} << kSpanBits)   ? 1
+           : d < (std::int64_t{1} << kL1SpanBits) ? 2
+                                                  : 3;
+  };
+  const auto draw = [&]() -> std::int64_t {
+    const auto kind = rnd() % 16;
+    if (kind == 0) {
+      ++on_boundary;
+      const auto k = static_cast<std::int64_t>(1 + rnd() % 3);
+      return ((now >> kBucketBits) + k) << kBucketBits;
+    }
+    if (kind == 1) {
+      ++on_boundary;
+      const auto k = static_cast<std::int64_t>(1 + rnd() % 2);
+      return ((now >> kSpanBits) + k) << kSpanBits;
+    }
+    if (kind == 2 && !live.empty()) {
+      ++on_pending_time;
+      const int p = live[rnd() % live.size()];
+      return entry[static_cast<std::size_t>(p)]->first.first;
+    }
+    const std::int64_t t =
+        now + static_cast<std::int64_t>(std::exp(log_delta(rnd)));
+    ++by_distance[distance_class(t)];
+    return t;
+  };
+
+  for (int step = 0; step < 120'000; ++step) {
+    const bool growing = (step / 6000) % 2 == 0;
+    const auto roll = rnd() % 100;
+    const unsigned push_below = growing ? 50 : 20;
+    const unsigned cancel_below = push_below + (growing ? 10 : 15);
+    const unsigned resched_below = cancel_below + 15;
+    if (roll < push_below || q.empty()) {
+      const std::int64_t t = draw();
+      const int p = static_cast<int>(ids.size());
+      ids.push_back(q.push(SimTime::nanos(t), [&got, p] { got.push_back(p); }));
+      entry.push_back(ref.emplace(Key{t, seq++}, p));
+      live_at.push_back(live.size());
+      live.push_back(p);
+    } else if (roll < cancel_below) {
+      const int p = live[rnd() % live.size()];
+      const EventId id = ids[static_cast<std::size_t>(p)];
+      ASSERT_TRUE(q.cancel(id));
+      // The id is stale at once, in whatever tier the event sat.
+      EXPECT_FALSE(q.cancel(id));
+      EXPECT_FALSE(q.reschedule(id, SimTime::nanos(now)));
+      ref.erase(entry[static_cast<std::size_t>(p)]);
+      drop_live(p);
+    } else if (roll < resched_below) {
+      const int p = live[rnd() % live.size()];
+      auto& e = entry[static_cast<std::size_t>(p)];
+      const int from = distance_class(e->first.first);
+      const std::int64_t t = draw();
+      const int to = distance_class(t);
+      moved_out += from == 0 && to >= 2;
+      moved_in += from >= 2 && to == 0;
+      ASSERT_TRUE(
+          q.reschedule(ids[static_cast<std::size_t>(p)], SimTime::nanos(t)));
+      ref.erase(e);
+      e = ref.emplace(Key{t, seq++}, p);
+    } else {
+      ASSERT_FALSE(ref.empty());
+      const auto [key, p] = *ref.begin();
+      ASSERT_EQ(q.next_time(), SimTime::nanos(key.first));
+      auto fired = q.pop();
+      fired.fn();
+      ASSERT_EQ(got.back(), p) << "step " << step << " at t=" << key.first;
+      EXPECT_EQ(fired.at, SimTime::nanos(key.first));
+      EXPECT_FALSE(q.cancel(ids[static_cast<std::size_t>(p)]));
+      span_crossings += (key.first >> kSpanBits) != (now >> kSpanBits);
+      l1_span_crossings += (key.first >> kL1SpanBits) != (now >> kL1SpanBits);
+      now = key.first;
+      ref.erase(ref.begin());
+      drop_live(p);
+    }
+    ASSERT_EQ(q.size(), ref.size());
+  }
+  while (!q.empty()) {
+    const int p = ref.begin()->second;
+    q.pop().fn();
+    ASSERT_EQ(got.back(), p);
+    ref.erase(ref.begin());
+  }
+  EXPECT_TRUE(ref.empty());
+  // Every tier and every kind of move got real traffic.
+  for (int c = 0; c < 4; ++c) EXPECT_GT(by_distance[c], 1000) << "class " << c;
+  EXPECT_GT(on_boundary, 5000);
+  EXPECT_GT(on_pending_time, 1000);
+  EXPECT_GT(moved_out, 250);
+  EXPECT_GT(moved_in, 1000);
+  EXPECT_GT(span_crossings, 2000);
+  EXPECT_GT(l1_span_crossings, 200);
+}
+
+TEST(EventQueue, WheelBoundaryTimesFireInOrder) {
+  // Events on, and one ns either side of, L0 bucket, L0 span and L1 span
+  // boundaries, pushed latest first.
+  constexpr std::int64_t kBucket = std::int64_t{1} << EventQueue::kBucketShift;
+  constexpr std::int64_t kSpan = kBucket << EventQueue::kLevelBits;
+  constexpr std::int64_t kL1Span = kSpan << EventQueue::kLevelBits;
+  std::vector<std::int64_t> times;
+  for (std::int64_t edge : {kBucket, 2 * kBucket, 3 * kBucket, kSpan,
+                            5 * kSpan, kL1Span, 3 * kL1Span})
+    for (std::int64_t d : {-1, 0, 1}) times.push_back(edge + d);
+  EventQueue q;
+  std::vector<std::int64_t> fired;
+  for (auto it = times.rbegin(); it != times.rend(); ++it)
+    q.push(SimTime::nanos(*it), [&fired, t = *it] { fired.push_back(t); });
+  while (!q.empty()) q.pop().fn();
+  EXPECT_EQ(fired, times);
+}
+
+TEST(EventQueue, CrossTierMovesAndEqualTimesKeepFifoOrder) {
+  constexpr std::int64_t kBucket = std::int64_t{1} << EventQueue::kBucketShift;
+  constexpr std::int64_t kSpan = kBucket << EventQueue::kLevelBits;
+  constexpr std::int64_t kL1Span = kSpan << EventQueue::kLevelBits;
+  EventQueue q;
+  std::vector<int> order;
+  const auto at = [&](std::int64_t t, int label) {
+    return q.push(SimTime::nanos(t),
+                  [&order, label] { order.push_back(label); });
+  };
+  const std::int64_t t_far = 5 * kSpan + 12'345;  // L1 from a cursor at 0
+  const std::int64_t t_over = kL1Span + 99;       // overflow
+  const EventId near = at(100, 2);  // the first push opens bucket 0
+  at(200, 3);
+  at(t_far, 0);
+  const EventId over = at(t_over, 1);
+  at(t_over, 4);
+  EXPECT_TRUE(q.reschedule(near, SimTime::nanos(t_far)));  // near -> L1
+  EXPECT_TRUE(q.reschedule(over, SimTime::nanos(150)));    // overflow -> near
+  const EventId l0 = at(3 * kBucket + 7, 5);
+  EXPECT_TRUE(q.reschedule(l0, SimTime::nanos(2 * kBucket)));  // L0 -> L0
+
+  // Cancelling wheel events frees them at once.
+  const EventId gone_l0 = at(7 * kBucket, 90);
+  const EventId gone_l1 = at(3 * kSpan, 91);
+  const EventId gone_over = at(2 * kL1Span, 92);
+  EXPECT_EQ(q.size(), 9u);
+  for (EventId id : {gone_l0, gone_l1, gone_over}) {
+    EXPECT_TRUE(q.cancel(id));
+    EXPECT_FALSE(q.cancel(id));
+    EXPECT_FALSE(q.reschedule(id, SimTime::nanos(300)));
+  }
+  EXPECT_EQ(q.size(), 6u);
+
+  const auto pop_through = [&](std::int64_t t) {
+    while (!q.empty() && q.next_time() <= SimTime::nanos(t)) q.pop().fn();
+  };
+  pop_through(2 * kBucket);
+  EXPECT_EQ(order, (std::vector<int>{1, 3, 5}));
+  // Bring t_far's bucket into the heap, then add an equal-time event that
+  // goes straight to the heap: it fires after the two that came through L1.
+  at(t_far - 1, 6);
+  pop_through(t_far - 1);
+  at(t_far, 7);
+  pop_through(t_far);
+  EXPECT_EQ(order, (std::vector<int>{1, 3, 5, 6, 0, 2, 7}));
+  // Same for t_over, whose first event came through the overflow list.
+  at(kL1Span, 8);
+  pop_through(kL1Span);
+  at(t_over, 9);
+  while (!q.empty()) q.pop().fn();
+  EXPECT_EQ(order, (std::vector<int>{1, 3, 5, 6, 0, 2, 7, 8, 4, 9}));
 }
 
 TEST(EventQueue, StaleOrFiredIdCannotBeRescheduled) {

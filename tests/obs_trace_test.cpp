@@ -28,7 +28,7 @@ TraceEvent make_event(std::int64_t t_ms, EventKind kind, std::uint64_t req) {
 }
 
 TEST(TraceCollector, RingOverwritesOldestAndCountsDrops) {
-  TraceCollector trace({.capacity = 4});
+  TraceCollector trace({.capacity = 4, .tail = {}});
   for (std::uint64_t i = 0; i < 10; ++i)
     trace.push(make_event(static_cast<std::int64_t>(i), EventKind::kClientSend, i));
 

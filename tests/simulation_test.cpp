@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
 namespace ntier::sim {
@@ -54,6 +55,44 @@ TEST(Simulation, SchedulingInThePastThrows) {
     EXPECT_THROW(s.at(SimTime::millis(5), [] {}), std::logic_error);
   });
   s.run();
+}
+
+TEST(Simulation, RunUntilStopsAndResumesAcrossWheelCascades) {
+  // Horizons just before and on L0 span (2^32 ns) and L1 span (2^42 ns)
+  // boundaries, where the event queue cascades its timing wheel, with
+  // events scheduled between the runs for the boundary instants.
+  constexpr std::int64_t kSpan =
+      std::int64_t{1} << (EventQueue::kBucketShift + EventQueue::kLevelBits);
+  constexpr std::int64_t kL1Span = kSpan << EventQueue::kLevelBits;
+  Simulation s;
+  std::vector<std::int64_t> seen;
+  const auto record = [&] { seen.push_back(s.now().ns()); };
+  s.at(SimTime::nanos(kSpan), record);
+  s.at(SimTime::nanos(kSpan + 1), record);
+  s.at(SimTime::nanos(kL1Span), record);
+  s.at(SimTime::nanos(3 * kL1Span + 5), record);
+
+  EXPECT_EQ(s.run_until(SimTime::nanos(kSpan - 1)), 0u);
+  EXPECT_EQ(s.now(), SimTime::nanos(kSpan - 1));
+  // Queued for the boundary after the event already there: fires after it.
+  s.at(SimTime::nanos(kSpan), [&] { seen.push_back(-1); });
+  EXPECT_EQ(s.run_until(SimTime::nanos(kSpan)), 2u);
+  EXPECT_EQ(seen, (std::vector<std::int64_t>{kSpan, -1}));
+
+  EXPECT_EQ(s.run_until(SimTime::nanos(kL1Span - 1)), 1u);
+  EXPECT_EQ(s.now(), SimTime::nanos(kL1Span - 1));
+  s.after(SimTime::nanos(1), [&] {
+    seen.push_back(-2);
+    s.after(SimTime::nanos(kSpan), record);  // into the next L0 span
+  });
+  EXPECT_EQ(s.run_until(SimTime::nanos(kL1Span)), 2u);
+  EXPECT_EQ(s.now(), SimTime::nanos(kL1Span));
+
+  EXPECT_EQ(s.run(), 2u);
+  const std::vector<std::int64_t> want{
+      kSpan, -1, kSpan + 1, kL1Span, -2, kL1Span + kSpan, 3 * kL1Span + 5};
+  EXPECT_EQ(seen, want);
+  EXPECT_FALSE(s.pending());
 }
 
 TEST(Simulation, StopHaltsTheLoop) {

@@ -9,6 +9,7 @@
 
 #include "experiment/experiment.h"
 #include "lb/load_balancer.h"
+#include "net/link.h"
 #include "os/cpu.h"
 #include "sim/callback.h"
 #include "sim/event_queue.h"
@@ -158,6 +159,51 @@ static void BM_EventQueuePatienceTimers(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kRequests);
 }
 BENCHMARK(BM_EventQueuePatienceTimers)->Unit(benchmark::kMillisecond);
+
+// The link-hop shape of fig6_baseline, where fixed 100 us net::Link
+// deliveries are most of the events: 64 requests in flight each hop from
+// tier to tier, re-keying one processor-sharing completion event per hop
+// (as CpuResource does on every arrival), among 7000 exponential think
+// timers (mean 700 ms) that re-arm when they fire. Each iteration runs
+// 10 ms of simulated time; per_event is host time per executed event.
+static void BM_EventQueueLinkTraffic(benchmark::State& state) {
+  constexpr int kRequests = 64;
+  constexpr int kClients = 7000;
+  struct Load {
+    sim::Simulation& s;
+    net::Link link{sim::SimTime::micros(100)};
+    std::mt19937_64 rng{42};
+    std::exponential_distribution<double> think_s{1.0 / 0.7};
+    std::exponential_distribution<double> service_s{1.0 / 0.002};
+    sim::EventId completion = sim::kInvalidEventId;
+    void think() {
+      s.after(sim::SimTime::from_seconds(think_s(rng)), [this] { think(); });
+    }
+    void hop() {
+      link.deliver(s, [this] {
+        s.reschedule(completion,
+                     s.now() + sim::SimTime::from_seconds(service_s(rng)));
+        hop();
+      });
+    }
+    void complete() {
+      completion = s.after(sim::SimTime::from_seconds(service_s(rng)),
+                           [this] { complete(); });
+    }
+  };
+  sim::Simulation s;
+  Load load{s};
+  for (int i = 0; i < kClients; ++i) load.think();
+  for (int i = 0; i < kRequests; ++i) load.hop();
+  load.complete();
+  const std::uint64_t before = s.events_executed();
+  for (auto _ : state)
+    benchmark::DoNotOptimize(s.run_until(s.now() + sim::SimTime::millis(10)));
+  state.counters["per_event"] = benchmark::Counter(
+      static_cast<double>(s.events_executed() - before),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_EventQueueLinkTraffic);
 
 // A continuation's life on the event path: built from a lambda with a
 // 40-byte capture (a pointer plus four words, the size of a typical

@@ -8,7 +8,10 @@
 # (costbench/run.py: fig6_baseline, kv_cache_stack, replay_flash_day) at
 # seeds 42 and 1729, and requires the `--json` RunSummary of each pair to be
 # byte-identical. replay_flash_day replays a trace generated in-process with
-# `--trace-gen` from the benchmark's own spec. Exits 1 when any pair differs.
+# `--trace-gen` from the benchmark's own spec. One more cell, fig6_chaos,
+# runs the fig6_baseline flags under `--chaos --chaos-seed 7`, so links whose
+# latency changes mid-run (fault latency) and the other injected faults come
+# under the same check. Exits 1 when any pair differs.
 #
 # Summaries are reproducible per host, not across hosts (floating-point
 # library differences move the last digits), so both builds run here, on
@@ -60,6 +63,9 @@ for name, w in sorted(run.WORKLOADS.items()):
         i = flags.index("--replay-trace")
         flags[i:i + 2] = ["--trace-gen", w["trace_gen"]]
     print("\t".join([name] + flags))
+    if name == "fig6_baseline":
+        print("\t".join(["fig6_chaos"] + flags +
+                        ["--chaos", "--chaos-seed", "7"]))
 EOF
 )
 

@@ -17,6 +17,12 @@ namespace ntier::net {
 /// loss semantics asks `drops()` first, because what a drop *means* (silent
 /// SYN loss discovered by the retransmission timer, vs. a failed RPC) is the
 /// sender's business.
+///
+/// Deliveries are scheduled with Simulation::after_fixed: every hop of one
+/// latency comes due in the order it was sent, so the event queue keeps
+/// them in a FIFO lane rather than sifting them through its heap. That is
+/// where a delivery waits, not when it fires; a faulted link's larger
+/// latency simply keys another lane.
 class Link {
  public:
   explicit Link(sim::SimTime latency = sim::SimTime::micros(100))
@@ -45,7 +51,7 @@ class Link {
 
   /// Deliver `fn` on the far side after the link latency.
   void deliver(sim::Simulation& simu, sim::Callback&& fn) const {
-    simu.after(latency(), std::move(fn));
+    simu.after_fixed(latency(), std::move(fn));
   }
 
  private:

@@ -26,11 +26,27 @@ void MySqlServer::probe_load(
 
 void MySqlServer::start(Query q) {
   ++executing_;
-  node_.cpu().submit(q.demand, [this, arrived = q.arrived,
-                                done = std::move(q.done)] {
-    on_query_done(arrived);
-    if (done) done();
-  });
+  std::uint32_t slot;
+  if (free_running_.empty()) {
+    slot = static_cast<std::uint32_t>(running_.size());
+    running_.emplace_back();
+  } else {
+    slot = free_running_.back();
+    free_running_.pop_back();
+  }
+  const sim::SimTime demand = q.demand;
+  running_[slot] = std::move(q);
+  node_.cpu().submit(demand, [this, slot] { complete(slot); });
+}
+
+void MySqlServer::complete(std::uint32_t slot) {
+  // Free the slot first: on_query_done may start a waiter that reuses it.
+  Query& q = running_[slot];
+  const sim::SimTime arrived = q.arrived;
+  sim::Callback done = std::move(q.done);
+  free_running_.push_back(slot);
+  on_query_done(arrived);
+  if (done) done();
 }
 
 void MySqlServer::on_query_done(sim::SimTime arrived) {

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <vector>
 
 #include "metrics/time_series.h"
 #include "os/node.h"
@@ -52,6 +53,9 @@ class MySqlServer {
   void finish_traces() { queue_trace_.finish(sim_.now()); }
 
   std::uint64_t queries_served() const { return served_; }
+  /// Size of the running-query table: the most queries ever on the CPU at
+  /// once, since finished queries' slots are reused.
+  std::size_t query_slots() const { return running_.size(); }
   os::Node& node() { return node_; }
 
  private:
@@ -61,6 +65,8 @@ class MySqlServer {
     sim::Callback done;
   };
   void start(Query q);
+  /// The CPU work of the query in `slot` has ended.
+  void complete(std::uint32_t slot);
   /// Bookkeeping when a query's CPU work ends; starts the next waiter.
   void on_query_done(sim::SimTime arrived);
 
@@ -72,6 +78,10 @@ class MySqlServer {
   std::uint64_t served_ = 0;
   double latency_ewma_ms_ = 0.0;
   std::deque<Query> waiting_;
+  /// Queries on the CPU, in a reusable slot table, so the CPU job's
+  /// closure is just {this, slot} and fits sim::Callback's inline buffer.
+  std::vector<Query> running_;
+  std::vector<std::uint32_t> free_running_;
   metrics::GaugeSeries queue_trace_;
 };
 

@@ -25,7 +25,7 @@ std::size_t next_used(const std::array<std::uint64_t, N>& used,
 
 }  // namespace
 
-EventId EventQueue::push(SimTime at, Callback&& fn) {
+std::uint32_t EventQueue::take_slot(SimTime at, Callback&& fn) {
   std::uint32_t slot;
   if (free_slots_.empty()) {
     slot = static_cast<std::uint32_t>(slots_.size());
@@ -38,13 +38,46 @@ EventId EventQueue::push(SimTime at, Callback&& fn) {
   s.fn = std::move(fn);
   s.at = at;
   s.seq = ++seq_;
-  const std::uint32_t gen = s.gen;
-
   ++scheduled_;
   ++live_;
+  return slot;
+}
+
+EventId EventQueue::push(SimTime at, Callback&& fn) {
+  const std::uint32_t slot = take_slot(at, std::move(fn));
   file(slot);
   if (heap_.empty()) refill();
-  return make_id(slot, gen);
+  return make_id(slot, slots_[slot].gen);
+}
+
+EventId EventQueue::push_fifo(SimTime at, SimTime delay, Callback&& fn) {
+  Lane* lane = lane_for(delay);
+  if (lane == nullptr || (lane->tail != kNil && at < slots_[lane->tail].at))
+    return push(at, std::move(fn));
+  const std::uint32_t slot = take_slot(at, std::move(fn));
+  Slot& s = slots_[slot];
+  s.tier = Tier::kLane;
+  s.lane = static_cast<std::uint8_t>(lane - lanes_.data());
+  s.next = kNil;
+  s.prev = lane->tail;
+  if (lane->tail == kNil)
+    lane->head = Node{at, s.seq, slot};
+  else
+    slots_[lane->tail].next = slot;
+  lane->tail = slot;
+  ++laned_;
+  return make_id(slot, s.gen);
+}
+
+EventQueue::Lane* EventQueue::lane_for(SimTime delay) {
+  for (std::size_t i = 0; i < lanes_open_; ++i)
+    if (lanes_[i].delay == delay) return &lanes_[i];
+  Lane* lane = nullptr;
+  for (std::size_t i = 0; i < lanes_open_ && lane == nullptr; ++i)
+    if (lanes_[i].tail == kNil) lane = &lanes_[i];
+  if (lane == nullptr && lanes_open_ < kLanes) lane = &lanes_[lanes_open_++];
+  if (lane != nullptr) lane->delay = delay;
+  return lane;
 }
 
 EventQueue::Slot* EventQueue::pending(EventId id) {
@@ -60,12 +93,14 @@ bool EventQueue::cancel(EventId id) {
   if (s == nullptr) return false;  // fired, cancelled or never existed
   if (s->tier == Tier::kNear)
     heap_erase(s->pos);
+  else if (s->tier == Tier::kLane)
+    lane_unlink(slot_of(id));
   else
     unlink(slot_of(id));
   s->fn = nullptr;  // free the closure now
   release_slot(*s, slot_of(id));
   --live_;
-  if (heap_.empty() && live_ > 0) refill();
+  if (heap_.empty() && live_ > laned_) refill();
   return true;
 }
 
@@ -89,6 +124,8 @@ bool EventQueue::reschedule(EventId id, SimTime at) {
   }
   if (s->tier == Tier::kNear)
     heap_erase(s->pos);
+  else if (s->tier == Tier::kLane)
+    lane_unlink(slot);
   else
     unlink(slot);  // before the re-key: the bucket is found from `at`
   s->at = at;
@@ -99,14 +136,24 @@ bool EventQueue::reschedule(EventId id, SimTime at) {
 }
 
 EventQueue::Fired EventQueue::pop() {
-  assert(!heap_.empty() && "pop() on empty EventQueue");
-  const Node top = heap_[0];
+  assert(!empty() && "pop() on empty EventQueue");
+  // The earliest of the heap top and the lane heads, by (time, sequence).
+  Node top = heap_.empty() ? kNoNode : heap_[0];
+  bool laned = false;
+  for (std::size_t i = 0; i < lanes_open_; ++i)
+    if (before(lanes_[i].head, top)) {
+      top = lanes_[i].head;
+      laned = true;
+    }
   Slot& s = slots_[top.slot];
   Fired f{top.at, std::move(s.fn)};
+  if (laned)
+    lane_unlink(top.slot);
+  else
+    heap_erase(0);
   release_slot(s, top.slot);
-  heap_erase(0);
   --live_;
-  if (heap_.empty() && live_ > 0) refill();
+  if (heap_.empty() && live_ > laned_) refill();
   return f;
 }
 
@@ -202,6 +249,24 @@ void EventQueue::unlink(std::uint32_t slot) {
   if (s.next == kNil) level.used[i / 64] &= ~(std::uint64_t{1} << (i % 64));
 }
 
+void EventQueue::lane_unlink(std::uint32_t slot) {
+  const Slot& s = slots_[slot];
+  Lane& lane = lanes_[s.lane];
+  if (s.next != kNil)
+    slots_[s.next].prev = s.prev;
+  else
+    lane.tail = s.prev;
+  if (s.prev != kNil) {
+    slots_[s.prev].next = s.next;
+  } else if (s.next != kNil) {
+    const Slot& head = slots_[s.next];
+    lane.head = Node{head.at, head.seq, s.next};
+  } else {
+    lane.head = kNoNode;
+  }
+  --laned_;
+}
+
 std::uint32_t EventQueue::take_list(Level& level, std::int64_t index) {
   const auto i = static_cast<std::size_t>(index);
   const std::uint32_t first = level.head[i];
@@ -224,7 +289,7 @@ void EventQueue::enter_span() {
 }
 
 void EventQueue::refill() {
-  assert(heap_.empty() && live_ > 0);
+  assert(heap_.empty() && live_ > laned_);
   while (true) {
     const std::size_t i0 = next_used(l0_.used, cur_ & kLevelMask);
     if (i0 < kBuckets) {

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <vector>
@@ -18,30 +19,37 @@ inline constexpr EventId kInvalidEventId = 0;
 /// Priority queue of timed callbacks. Ties are broken by scheduling order
 /// (FIFO among events at the same instant) so runs are deterministic.
 ///
-/// Implementation: two tiers over one generation-tagged slot table that
-/// owns the callbacks.
+/// Implementation: three kinds of tier over one generation-tagged slot
+/// table that owns the callbacks.
 ///  - The *near heap*: a 4-ary heap of small POD nodes {time, sequence,
-///    slot} holding every event whose L0 bucket (time >> kBucketShift) lies
-///    before the cursor `cur_`. Firing order is decided here, by
-///    (time, sequence) alone.
-///  - A two-level hashed *timing wheel* holding everything at or after the
-///    cursor, as intrusive doubly-linked lists threaded through the slots:
-///    L0 has kBuckets buckets of 2^kBucketShift ns (the cursor's L0 span),
-///    L1 has kBuckets buckets of one L0 span each (the rest of the cursor's
-///    L1 span), and one overflow list holds the rest. When the near heap
-///    runs dry the next non-empty L0 bucket is opened into it; crossing an
-///    L0 span cascades the next L1 bucket into L0, crossing an L1 span
-///    re-files the overflow list.
-/// The wheel only decides *when* a node enters the heap, never the order in
-/// which nodes fire, so a run is the same as with one heap. What it saves:
-/// the many far-future timers (client think times, timeouts) stay out of
-/// the heap, so sifts are short.
+///    slot} holding every ordinary event whose L0 bucket
+///    (time >> kBucketShift) lies before the cursor `cur_`.
+///  - A two-level hashed *timing wheel* holding the ordinary events at or
+///    after the cursor, as intrusive doubly-linked lists threaded through
+///    the slots: L0 has kBuckets buckets of 2^kBucketShift ns (the cursor's
+///    L0 span), L1 has kBuckets buckets of one L0 span each (the rest of the
+///    cursor's L1 span), and one overflow list holds the rest. When the near
+///    heap runs dry while the wheel holds events, the next non-empty L0
+///    bucket is opened into it; crossing an L0 span cascades the next L1
+///    bucket into L0, crossing an L1 span re-files the overflow list.
+///  - Up to kLanes FIFO *lanes* (push_fifo), each an intrusive list of the
+///    events pushed with one constant delay from a clock that never goes
+///    back, such as a network link's latency. Those pushes arrive in
+///    (time, sequence) order, so appending at the tail keeps a lane sorted
+///    and its head is its earliest event.
+/// pop() and next_time() take the (time, sequence) minimum over the heap
+/// top and the lane heads; the wheel only decides *when* a node enters the
+/// heap. Tiers decide where a node waits, never the order in which nodes
+/// fire, so a run is the same as with one heap. What they save: the many
+/// far-future timers (client think times, timeouts) stay out of the heap,
+/// and the link hops, most of a run's events, never sift at all.
 ///
-/// Cancellation is eager and O(1) in the wheel (unlink) and O(log n) in the
-/// heap (remove by position); the slot and its closure are released at
-/// once, so no tier ever holds a dead node. Rescheduling re-keys a heap node
-/// in place when it stays near and re-files it otherwise. No per-event
-/// hashing or allocation anywhere on the push/cancel/pop path — this is the
+/// Cancellation is eager: O(1) in the wheel and the lanes (unlink) and
+/// O(log n) in the heap (remove by position); the slot and its closure are
+/// released at once, so no tier ever holds a dead node. Rescheduling
+/// re-keys a heap node in place when it stays near and re-files it (into the
+/// heap or the wheel, never a lane) otherwise. No per-event hashing or
+/// allocation anywhere on the push/cancel/pop path — this is the
 /// simulator's hottest loop (every request touches it a dozen times).
 class EventQueue {
  public:
@@ -51,9 +59,19 @@ class EventQueue {
   /// 2^42 ns (73 min).
   static constexpr int kLevelBits = 10;
   static constexpr std::size_t kBuckets = std::size_t{1} << kLevelBits;
+  /// FIFO lanes, i.e. distinct push_fifo delays queued at once.
+  static constexpr std::size_t kLanes = 4;
 
   /// Schedule `fn` at absolute time `at`. Returns an id for cancellation.
   EventId push(SimTime at, Callback&& fn);
+
+  /// Schedule `fn` at `at` == now + `delay`, for a caller that pushes with
+  /// this same `delay` again and again from a clock that never goes back.
+  /// The event joins the tail of the FIFO lane for `delay`, which stays
+  /// sorted because such pushes come in firing order. Fires exactly where
+  /// push(at, fn) would; it takes the push() path when every lane holds
+  /// events of other delays, or when `at` is earlier than the lane's tail.
+  EventId push_fifo(SimTime at, SimTime delay, Callback&& fn);
 
   /// Cancel a pending event. Returns false if the event already fired,
   /// was already cancelled, or never existed.
@@ -73,7 +91,10 @@ class EventQueue {
 
   /// Time of the earliest pending event; SimTime::max() when empty.
   SimTime next_time() const {
-    return heap_.empty() ? SimTime::max() : heap_[0].at;
+    SimTime t = heap_.empty() ? SimTime::max() : heap_[0].at;
+    for (std::size_t i = 0; i < lanes_open_; ++i)
+      t = std::min(t, lanes_[i].head.at);
+    return t;
   }
 
   /// Pop the earliest event. Precondition: !empty().
@@ -99,7 +120,7 @@ class EventQueue {
   };
 
   /// Where a slot's event is filed; kFree when it holds no pending event.
-  enum class Tier : std::uint8_t { kFree, kNear, kL0, kL1, kOverflow };
+  enum class Tier : std::uint8_t { kFree, kNear, kL0, kL1, kOverflow, kLane };
 
   /// Owns the callback; `gen` tags the slot's current incarnation so stale
   /// EventIds from earlier occupants of a reused slot never resolve. A
@@ -112,10 +133,11 @@ class EventQueue {
     std::uint32_t gen = 1;
     union {                      // which one is in use follows `tier`
       std::uint32_t pos;         // kNear: index of this slot's node in heap_
-      std::uint32_t next = kNil; // wheel tiers: list links
+      std::uint32_t next = kNil; // wheel tiers and kLane: list links
     };
     std::uint32_t prev = kNil;
     Tier tier = Tier::kFree;
+    std::uint8_t lane = 0;       // kLane: index into lanes_
   };
 
   /// One wheel level: list heads plus a bitmap of the non-empty buckets.
@@ -123,6 +145,19 @@ class EventQueue {
     Level() { head.fill(kNil); }
     std::array<std::uint32_t, kBuckets> head;
     std::array<std::uint64_t, kBuckets / 64> used{};
+  };
+
+  /// The key of a missing node: after every real one.
+  static constexpr Node kNoNode{SimTime::max(), UINT64_MAX, kNil};
+
+  /// One FIFO lane: events in (time, sequence) order, oldest first. `head`
+  /// copies the first event's key so pop() compares without touching its
+  /// slot; it is kNoNode when the lane is empty, and an empty lane may be
+  /// taken over by another delay.
+  struct Lane {
+    Node head = kNoNode;
+    std::uint32_t tail = kNil;
+    SimTime delay;  // the push_fifo delay it is keyed by
   };
 
   static std::uint32_t slot_of(EventId id) {
@@ -140,6 +175,8 @@ class EventQueue {
     return a.at != b.at ? a.at < b.at : a.seq < b.seq;
   }
 
+  /// Take a free slot for a new event at `at` and count the push.
+  std::uint32_t take_slot(SimTime at, Callback&& fn);
   /// The slot `id` names if it holds a pending event, else nullptr.
   Slot* pending(EventId id);
 
@@ -161,7 +198,12 @@ class EventQueue {
   void unlink(std::uint32_t slot);
   /// Detach a whole list and return its first slot.
   static std::uint32_t take_list(Level& level, std::int64_t index);
-  /// Refill the empty near heap from the wheel. Precondition: live_ > 0.
+  /// The lane for `delay`: the one keyed by that delay, else an empty one
+  /// (re-keyed), else an unopened one, else nullptr.
+  Lane* lane_for(SimTime delay);
+  void lane_unlink(std::uint32_t slot);
+  /// Refill the empty near heap from the wheel. Precondition: the wheel
+  /// holds an event (live_ > laned_).
   void refill();
   /// The cursor has just moved to the start of an L0 span: bring that
   /// span's events into L0 (from L1, or from overflow on an L1 span).
@@ -176,8 +218,11 @@ class EventQueue {
   Level l0_;
   Level l1_;
   std::uint32_t overflow_ = kNil;
+  std::array<Lane, kLanes> lanes_;
+  std::size_t lanes_open_ = 0;  // lanes_[0, lanes_open_) have been keyed
   std::int64_t cur_ = 0;       // first L0 bucket not yet opened into heap_
   std::size_t live_ = 0;       // pending events, all tiers
+  std::size_t laned_ = 0;      // pending events in lanes
   std::uint64_t scheduled_ = 0;
   std::uint64_t seq_ = 0;      // last sequence number handed out
 };

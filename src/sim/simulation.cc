@@ -16,6 +16,12 @@ EventId Simulation::at(SimTime when, Callback&& fn) {
   return events_.push(when, std::move(fn));
 }
 
+EventId Simulation::after_fixed(SimTime delay, Callback&& fn) {
+  if (delay < SimTime::zero())
+    throw_past("Simulation::after_fixed", now_ + delay, now_);
+  return events_.push_fifo(now_ + delay, delay, std::move(fn));
+}
+
 bool Simulation::reschedule(EventId id, SimTime when) {
   if (when < now_) throw_past("Simulation::reschedule", when, now_);
   return events_.reschedule(id, when);

@@ -33,6 +33,12 @@ class Simulation {
     return at(now_ + delay, std::move(fn));
   }
 
+  /// Schedule after `delay` (>= 0), for a caller that schedules with one
+  /// fixed delay again and again, such as a network link's latency. Fires
+  /// exactly where after() would; such events queue in a FIFO lane instead
+  /// of the event heap (EventQueue::push_fifo).
+  EventId after_fixed(SimTime delay, Callback&& fn);
+
   /// Cancel a pending event; false if it already fired or was cancelled.
   bool cancel(EventId id) { return events_.cancel(id); }
 

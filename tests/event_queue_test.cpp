@@ -348,6 +348,219 @@ TEST(EventQueue, TierSpanningInterleavingMatchesReferenceModel) {
   EXPECT_GT(l1_span_crossings, 200);
 }
 
+TEST(EventQueue, LaneInterleavingMatchesReferenceModel) {
+  // The reference model once more, now with FIFO-lane traffic: push_fifo
+  // at now + d for kLanes + 2 delays (so at times every lane is held and a
+  // delay takes the heap path), mixed with ordinary pushes near and far.
+  // Some ordinary pushes and re-keys land exactly on a pending lane event's
+  // time or on now + d, so lane heads and heap nodes tie and only the
+  // sequence number decides. Lane events are cancelled and re-keyed at the
+  // head, middle and tail of their delay's queue. size() and next_time()
+  // are checked after every step.
+  using Key = std::pair<std::int64_t, std::uint64_t>;  // (t, seq)
+  constexpr std::size_t kDelays = EventQueue::kLanes + 2;
+  std::vector<std::int64_t> delays;  // 100 us .. ~100 ms: heap and wheel
+  for (std::size_t i = 0; i < kDelays; ++i)
+    delays.push_back(std::int64_t{100'000} << (2 * i));
+  std::multimap<Key, int> ref;
+  std::vector<EventId> ids;                    // by payload
+  std::vector<decltype(ref)::iterator> entry;  // by payload
+  std::vector<int> lane_of;                    // by payload; -1: ordinary
+  std::vector<std::map<Key, int>> fifo(kDelays);  // pending push_fifo events
+  std::vector<int> live;
+  std::vector<std::size_t> live_at;
+  // Forget a payload that leaves the queue; call it before erasing the
+  // payload's entry in `ref`, whose key it reads.
+  const auto drop = [&](int p) {
+    const auto up = static_cast<std::size_t>(p);
+    if (lane_of[up] >= 0)
+      fifo[static_cast<std::size_t>(lane_of[up])].erase(entry[up]->first);
+    const std::size_t i = live_at[up];
+    live[i] = live.back();
+    live_at[static_cast<std::size_t>(live[i])] = i;
+    live.pop_back();
+  };
+
+  EventQueue q;
+  std::mt19937_64 rnd(99);
+  std::vector<int> got;
+  std::uint64_t seq = 0;
+  std::int64_t now = 0;  // time of the last pop
+  int lane_pushes = 0, ties = 0, popped_from_fifo = 0;
+  int lane_cancels[3] = {0, 0, 0};   // head, middle, tail
+  int lane_rekeys[3] = {0, 0, 0};
+  std::uniform_real_distribution<double> log_delta(std::log(1e3),
+                                                   std::log(1e10));
+  const auto add = [&](std::int64_t t, int lane, EventId id) {
+    const int p = static_cast<int>(ids.size());
+    ids.push_back(id);
+    entry.push_back(ref.emplace(Key{t, seq++}, p));
+    lane_of.push_back(lane);
+    if (lane >= 0)
+      fifo[static_cast<std::size_t>(lane)].emplace(entry.back()->first, p);
+    live_at.push_back(live.size());
+    live.push_back(p);
+  };
+  const auto record = [&got](int p) { return [&got, p] { got.push_back(p); }; };
+  // A time for an ordinary push or re-key.
+  const auto draw = [&]() -> std::int64_t {
+    const auto kind = rnd() % 8;
+    if (kind < 2) {
+      // On a pending lane event's time, or on now + d.
+      const auto& lane = fifo[rnd() % kDelays];
+      ++ties;
+      if (kind == 0 && !lane.empty()) {
+        auto it = lane.begin();
+        std::advance(it, static_cast<long>(rnd() % lane.size()));
+        return it->first.first;
+      }
+      return now + delays[rnd() % kDelays];
+    }
+    return now + static_cast<std::int64_t>(std::exp(log_delta(rnd)));
+  };
+  // Where `p` sits in its delay's queue: 0 head, 1 middle, 2 tail.
+  const auto position = [&](int p) {
+    const auto& lane = fifo[static_cast<std::size_t>(
+        lane_of[static_cast<std::size_t>(p)])];
+    const Key& key = entry[static_cast<std::size_t>(p)]->first;
+    return key == lane.begin()->first ? 0 : key == lane.rbegin()->first ? 2 : 1;
+  };
+  // A live payload, half the time one pushed through push_fifo.
+  const auto pick = [&]() {
+    int p = live[rnd() % live.size()];
+    for (int tries = 0; tries < 8 && rnd() % 2 == 0 &&
+                        lane_of[static_cast<std::size_t>(p)] < 0;
+         ++tries)
+      p = live[rnd() % live.size()];
+    return p;
+  };
+
+  for (int step = 0; step < 150'000; ++step) {
+    const bool growing = (step / 5000) % 2 == 0;
+    const auto roll = rnd() % 100;
+    const unsigned fifo_below = growing ? 40 : 20;
+    const unsigned push_below = fifo_below + (growing ? 12 : 6);
+    const unsigned cancel_below = push_below + 10;
+    const unsigned rekey_below = cancel_below + 10;
+    if (roll < fifo_below || q.empty()) {
+      // The first delays are the busy links; the last ones are rare.
+      const std::size_t d =
+          rnd() % 4 == 0 ? rnd() % kDelays : rnd() % EventQueue::kLanes;
+      const std::int64_t t = now + delays[d];
+      const int p = static_cast<int>(ids.size());
+      add(t, static_cast<int>(d),
+          q.push_fifo(SimTime::nanos(t), SimTime::nanos(delays[d]),
+                      record(p)));
+      ++lane_pushes;
+    } else if (roll < push_below) {
+      const std::int64_t t = draw();
+      const int p = static_cast<int>(ids.size());
+      add(t, -1, q.push(SimTime::nanos(t), record(p)));
+    } else if (roll < cancel_below) {
+      const int p = pick();
+      const EventId id = ids[static_cast<std::size_t>(p)];
+      if (lane_of[static_cast<std::size_t>(p)] >= 0) ++lane_cancels[position(p)];
+      ASSERT_TRUE(q.cancel(id));
+      EXPECT_FALSE(q.cancel(id));
+      EXPECT_FALSE(q.reschedule(id, SimTime::nanos(now)));
+      drop(p);
+      ref.erase(entry[static_cast<std::size_t>(p)]);
+    } else if (roll < rekey_below) {
+      // A re-keyed event leaves its lane for good.
+      const int p = pick();
+      const auto up = static_cast<std::size_t>(p);
+      if (lane_of[up] >= 0) ++lane_rekeys[position(p)];
+      const std::int64_t t = draw();
+      ASSERT_TRUE(q.reschedule(ids[up], SimTime::nanos(t)));
+      drop(p);
+      ref.erase(entry[up]);
+      entry[up] = ref.emplace(Key{t, seq++}, p);
+      lane_of[up] = -1;
+      live_at[up] = live.size();
+      live.push_back(p);
+    } else {
+      const auto [key, p] = *ref.begin();
+      auto fired = q.pop();
+      fired.fn();
+      ASSERT_EQ(got.back(), p) << "step " << step << " at t=" << key.first;
+      EXPECT_EQ(fired.at, SimTime::nanos(key.first));
+      popped_from_fifo += lane_of[static_cast<std::size_t>(p)] >= 0;
+      now = key.first;
+      drop(p);
+      ref.erase(ref.begin());
+    }
+    ASSERT_EQ(q.size(), ref.size()) << "step " << step;
+    ASSERT_EQ(q.next_time(), ref.empty() ? SimTime::max()
+                                         : SimTime::nanos(ref.begin()->first.first))
+        << "step " << step;
+  }
+  while (!q.empty()) {
+    const int p = ref.begin()->second;
+    q.pop().fn();
+    ASSERT_EQ(got.back(), p);
+    ref.erase(ref.begin());
+  }
+  EXPECT_TRUE(ref.empty());
+  EXPECT_GT(lane_pushes, 30'000);
+  EXPECT_GT(popped_from_fifo, 20'000);
+  EXPECT_GT(ties, 5000);
+  for (int where = 0; where < 3; ++where) {
+    EXPECT_GT(lane_cancels[where], 300) << "position " << where;
+    EXPECT_GT(lane_rekeys[where], 300) << "position " << where;
+  }
+}
+
+TEST(EventQueue, LaneHeadAndHeapNodeTieBySequence) {
+  // Equal times, alternately through the heap and a lane: push order alone
+  // decides, in both directions.
+  EventQueue q;
+  std::vector<int> order;
+  const SimTime t = SimTime::micros(100);
+  const auto label = [&order](int i) { return [&order, i] { order.push_back(i); }; };
+  q.push(t, label(0));
+  q.push_fifo(t, t, label(1));
+  q.push(t, label(2));
+  q.push_fifo(t, t, label(3));
+  q.push_fifo(t, SimTime::micros(40), label(4));  // another lane, same time
+  q.push(t, label(5));
+  EXPECT_EQ(q.next_time(), t);
+  EXPECT_EQ(q.size(), 6u);
+  while (!q.empty()) q.pop().fn();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5}));
+}
+
+TEST(EventQueue, PushFifoFallsBackWhenLanesAreHeldOrOrderBreaks) {
+  // kLanes + 2 distinct delays pending at once: the first kLanes take the
+  // lanes, the last two find every lane held and take the heap path. A
+  // push earlier than its lane's tail (a clock that went back) takes it
+  // too. All fire in (time, sequence) order, and cancel and reschedule work
+  // on every path.
+  constexpr int kDelays = static_cast<int>(EventQueue::kLanes) + 2;
+  EventQueue q;
+  std::vector<int> order;
+  const auto label = [&order](int i) { return [&order, i] { order.push_back(i); }; };
+  std::vector<EventId> ids;  // label i + 1 at 10 * (i + 1) us
+  for (int i = 0; i < kDelays; ++i) {
+    const SimTime d = SimTime::micros(10 * (i + 1));
+    ids.push_back(q.push_fifo(d, d, label(i + 1)));
+  }
+  const SimTime d10 = SimTime::micros(10);
+  q.push_fifo(SimTime::micros(5), d10, label(0));     // before the tail
+  q.push_fifo(SimTime::micros(15), d10, label(100));  // joins the lane
+  EXPECT_EQ(q.size(), static_cast<std::size_t>(kDelays) + 2);
+  EXPECT_EQ(q.next_time(), SimTime::micros(5));
+  EXPECT_TRUE(q.cancel(ids[1]));            // laned, 20 us
+  EXPECT_TRUE(q.cancel(ids[kDelays - 1]));  // overflowed to the heap
+  EXPECT_FALSE(q.cancel(ids[1]));
+  // The 10 us lane's head leaves the lane; the event behind it is now head.
+  EXPECT_TRUE(q.reschedule(ids[0], SimTime::micros(12)));
+  EXPECT_EQ(q.size(), static_cast<std::size_t>(kDelays));
+  while (!q.empty()) q.pop().fn();
+  std::vector<int> want{0, 1, 100};
+  for (int i = 3; i < kDelays; ++i) want.push_back(i);
+  EXPECT_EQ(order, want);
+}
+
 TEST(EventQueue, WheelBoundaryTimesFireInOrder) {
   // Events on, and one ns either side of, L0 bucket, L0 span and L1 span
   // boundaries, pushed latest first.

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
+#include <utility>
 #include <vector>
 
 namespace ntier::sim {
@@ -92,6 +94,60 @@ TEST(Simulation, RunUntilStopsAndResumesAcrossWheelCascades) {
   const std::vector<std::int64_t> want{
       kSpan, -1, kSpan + 1, kL1Span, -2, kL1Span + kSpan, 3 * kL1Span + 5};
   EXPECT_EQ(seen, want);
+  EXPECT_FALSE(s.pending());
+}
+
+TEST(Simulation, RunUntilStopsAndResumesWithLaneEventsPending) {
+  // Two hop chains with fixed delays (after_fixed: FIFO lanes) and
+  // ordinary timers, some on the hops' instants, run in pieces: horizons
+  // between hops and exactly on them, then stop() with hops still queued.
+  // The same scenario with after() in one run is the reference.
+  using Seen = std::vector<std::pair<std::int64_t, int>>;
+  const auto scenario = [](bool fixed, bool pieces) {
+    Simulation s;
+    Seen seen;
+    std::function<void(int, SimTime, int)> hop = [&](int chain, SimTime d,
+                                                     int left) {
+      Callback fn = [&, chain, d, left] {
+        seen.emplace_back(s.now().ns(), chain);
+        if (left > 0) hop(chain, d, left - 1);
+      };
+      if (fixed)
+        s.after_fixed(d, std::move(fn));
+      else
+        s.after(d, std::move(fn));
+    };
+    hop(0, SimTime::micros(100), 49);
+    hop(1, SimTime::micros(250), 19);
+    for (std::int64_t us : {1000, 2500, 2500, 3700})
+      s.at(SimTime::micros(us), [&, us] {
+        seen.emplace_back(s.now().ns(), -1);
+        if (us == 3700) s.stop();
+      });
+    if (pieces) {
+      EXPECT_EQ(s.run_until(SimTime::micros(1050)), 10u + 4u + 1u);
+      EXPECT_EQ(s.now(), SimTime::micros(1050));
+      EXPECT_TRUE(s.pending());
+      // On hops of both chains; chain 0's, pushed last, fires last there.
+      s.run_until(SimTime::micros(2500));
+      EXPECT_EQ(seen.back(), (std::pair<std::int64_t, int>{2'500'000, 0}));
+    }
+    s.run();  // stops at 3.7 ms
+    EXPECT_EQ(s.now(), SimTime::micros(3700));
+    EXPECT_TRUE(s.pending());
+    s.run();
+    EXPECT_FALSE(s.pending());
+    return seen;
+  };
+  const Seen want = scenario(false, false);
+  EXPECT_EQ(want.size(), 50u + 20u + 4u);
+  EXPECT_EQ(scenario(true, true), want);
+  EXPECT_EQ(scenario(true, false), want);
+}
+
+TEST(Simulation, AfterFixedRejectsNegativeDelay) {
+  Simulation s;
+  EXPECT_THROW(s.after_fixed(SimTime::nanos(-1), [] {}), std::logic_error);
   EXPECT_FALSE(s.pending());
 }
 

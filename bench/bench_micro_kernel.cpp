@@ -1,6 +1,7 @@
 // Microbenchmarks of the simulator hot paths (google-benchmark): event
 // queue throughput, processor-sharing CPU churn, balancer decision latency,
-// and end-to-end simulated-seconds-per-wall-second of the full testbed.
+// random streams and trace generation, and end-to-end
+// simulated-seconds-per-wall-second of the full testbed.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -13,7 +14,10 @@
 #include "os/cpu.h"
 #include "sim/callback.h"
 #include "sim/event_queue.h"
+#include "sim/rng.h"
 #include "sim/simulation.h"
+#include "workload/rubbos.h"
+#include "workload/trace_gen.h"
 
 using namespace ntier;
 
@@ -254,6 +258,48 @@ static void BM_BalancerAssign(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_BalancerAssign);
+
+// A per-session stream: the trace generator forks one Rng per session and
+// draws about 50 words from it, so seeding the state and any up-front
+// twisting of it dominate.
+static void BM_RngForkAndDraw(benchmark::State& state) {
+  sim::Rng parent(42);
+  for (auto _ : state) {
+    sim::Rng child = parent.fork();
+    double sum = 0;
+    for (int i = 0; i < 50; ++i) sum += child.uniform01();
+    benchmark::DoNotOptimize(sum);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_RngForkAndDraw);
+
+// A long stream: one uniform01 per item, twisting amortised.
+static void BM_RngDraw(benchmark::State& state) {
+  sim::Rng rng(42);
+  for (auto _ : state) benchmark::DoNotOptimize(rng.uniform01());
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_RngDraw);
+
+// The cost benchmark's replay_flash_day trace at a 10 s horizon; items are
+// generated rows.
+static void BM_TraceGenerate(benchmark::State& state) {
+  const auto spec = workload::trace_gen_spec_from_string(
+      "seed=42,duration=10,base-rps=8000,diurnal-amplitude=0.3,flash-at=30,"
+      "flash-duration=5,flash-multiplier=2",
+      nullptr);
+  const workload::RubbosWorkload w;
+  const workload::TraceGenerator gen(*spec);
+  std::int64_t rows = 0;
+  for (auto _ : state) {
+    const auto trace = gen.generate(w);
+    rows += static_cast<std::int64_t>(trace.size());
+    benchmark::DoNotOptimize(trace.events().data());
+  }
+  state.SetItemsProcessed(rows);
+}
+BENCHMARK(BM_TraceGenerate)->Unit(benchmark::kMillisecond);
 
 static void BM_FullTestbedSimulatedSecond(benchmark::State& state) {
   for (auto _ : state) {

@@ -6,8 +6,10 @@
 # `sanitizers` is a comma-separated -fsanitize= list; the default
 # "address,undefined" catches the memory and UB classes the chaos tests are
 # most likely to shake loose (the fault injector toggles capacity factors,
-# drains waiter queues and crash/restarts servers mid-run). Uses its own
-# build directory (build-asan/) so the normal build stays untouched.
+# drains waiter queues and crash/restarts servers mid-run). With
+# "undefined" in the list, CMakeLists.txt also passes
+# -fno-sanitize-recover=undefined, so any UB report aborts its test. Uses its
+# own build directory (build-asan/) so the normal build stays untouched.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."

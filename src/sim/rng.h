@@ -1,5 +1,7 @@
 #pragma once
 
+#include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <random>
 #include <vector>
@@ -7,6 +9,56 @@
 #include "sim/time.h"
 
 namespace ntier::sim {
+
+/// MT19937-64 with exactly the seeding recurrence, state recurrence and
+/// tempering of std::mt19937_64, so every raw draw -- and every standard
+/// distribution driven by it -- is bit-identical to the library engine.
+///
+/// The library engine regenerates all 312 state words on the first draw of
+/// each generation. This one twists word i just before drawing it. Updating
+/// in index order reads exactly the words the batch pass reads: word i
+/// combines words (i+1) mod n and (i+m) mod n, each already updated in this
+/// generation exactly when its index is below i. So a short-lived stream,
+/// such as a forked per-session Rng, pays only for seeding plus the words
+/// it actually draws.
+class Mt19937_64 {
+ public:
+  using result_type = std::uint64_t;
+
+  static constexpr std::size_t kN = 312;
+  static constexpr std::size_t kM = 156;
+
+  static constexpr result_type min() { return 0; }
+  static constexpr result_type max() { return ~result_type{0}; }
+
+  explicit Mt19937_64(result_type seed) {
+    x_[0] = seed;
+    for (std::size_t i = 1; i < kN; ++i)
+      x_[i] = 6364136223846793005ull * (x_[i - 1] ^ (x_[i - 1] >> 62)) + i;
+  }
+
+  result_type operator()() {
+    const std::size_t i = i_;
+    const std::size_t next = i + 1 == kN ? 0 : i + 1;
+    const std::size_t far = i < kN - kM ? i + kM : i + kM - kN;
+    const result_type y = (x_[i] & kUpper) | (x_[next] & kLower);
+    result_type z = x_[far] ^ (y >> 1) ^ ((0 - (y & 1)) & kA);
+    x_[i] = z;
+    i_ = next;
+    z ^= (z >> 29) & 0x5555555555555555ull;
+    z ^= (z << 17) & 0x71D67FFFEDA60000ull;
+    z ^= (z << 37) & 0xFFF7EEE000000000ull;
+    return z ^ (z >> 43);
+  }
+
+ private:
+  static constexpr result_type kA = 0xB5026F5AA96619E9ull;
+  static constexpr result_type kUpper = ~result_type{0} << 31;
+  static constexpr result_type kLower = ~kUpper;
+
+  result_type x_[kN];
+  std::size_t i_ = 0;  // next word to twist and draw
+};
 
 /// Deterministic random source for the simulator. Every stochastic component
 /// takes an Rng (or forks one from a parent) so that a run is fully
@@ -27,8 +79,8 @@ class Rng {
 
   /// Derive an independent child stream; used to give each client / server /
   /// injector its own stream so component insertion order does not perturb
-  /// other components' draws. The raw mt19937_64 draw is mixed through
-  /// splitmix64 before seeding: mt19937_64's seeding of its 19937-bit state
+  /// other components' draws. The raw MT19937-64 draw is mixed through
+  /// splitmix64 before seeding: MT19937-64's seeding of its 19937-bit state
   /// from a single word is weak enough that correlated/poorly mixed seed
   /// words give observably correlated child streams. Determinism is
   /// preserved (same parent seed => same children).
@@ -86,7 +138,7 @@ class Rng {
   std::size_t zipf(std::size_t n, double s);
 
  private:
-  std::mt19937_64 engine_;
+  Mt19937_64 engine_;
 };
 
 }  // namespace ntier::sim

@@ -137,16 +137,20 @@ std::size_t RubbosWorkload::next_interaction(sim::Rng& rng, int prev) const {
       static_cast<std::size_t>(prev) < successors_.size() &&
       rng.bernoulli(params_.p_follow)) {
     // Follow a session link, weighted by the mix so zero-weight successors
-    // (e.g. writes in the browse-only mix) are never drawn.
+    // (e.g. writes in the browse-only mix) are never drawn. Same summation
+    // order, single draw and subtract loop as Rng::weighted_index over the
+    // successors' weights, without building that weight vector.
     const auto& succ = successors_[static_cast<std::size_t>(prev)];
-    std::vector<double> w;
-    w.reserve(succ.size());
     double total = 0;
-    for (std::size_t s : succ) {
-      w.push_back(weights[s]);
-      total += weights[s];
+    for (std::size_t s : succ) total += weights[s];
+    if (total > 0) {
+      double x = rng.uniform01() * total;
+      for (std::size_t s : succ) {
+        x -= weights[s];
+        if (x < 0) return s;
+      }
+      return succ.back();  // floating-point edge
     }
-    if (total > 0) return succ[rng.weighted_index(w)];
   }
   return rng.weighted_index(weights);
 }
@@ -160,38 +164,46 @@ proto::RequestPtr RubbosWorkload::make_request(sim::Rng& rng, std::uint64_t id,
 proto::RequestPtr RubbosWorkload::materialize(sim::Rng& rng, std::uint64_t id,
                                               std::uint32_t client,
                                               std::size_t k) const {
-  const InteractionType& it = table_.at(k);
   auto req = std::make_shared<proto::Request>();
-  req->id = id;
-  req->client = client;
-  req->interaction = static_cast<std::uint16_t>(k);
+  fill(rng, id, client, k, *req);
+  return req;
+}
+
+void RubbosWorkload::fill(sim::Rng& rng, std::uint64_t id,
+                          std::uint32_t client, std::size_t k,
+                          proto::Request& req) const {
+  const InteractionType& it = table_.at(k);
+  req.id = id;
+  req.client = client;
+  req.interaction = static_cast<std::uint16_t>(k);
   const double s = params_.demand_scale;
-  req->apache_demand = sim::SimTime::from_millis(
+  req.apache_demand = sim::SimTime::from_millis(
       rng.lognormal_mean(it.apache_demand_ms * s, params_.demand_cv));
-  req->tomcat_demand = sim::SimTime::from_millis(
+  req.tomcat_demand = sim::SimTime::from_millis(
       rng.lognormal_mean(it.tomcat_demand_ms * s, params_.demand_cv));
-  req->db_queries = static_cast<std::uint8_t>(it.db_queries);
+  req.db_queries = static_cast<std::uint8_t>(it.db_queries);
+  req.mysql_demand = sim::SimTime::zero();
   if (it.db_queries > 0) {
     const double per_query_ms =
         rng.bernoulli(params_.query_cache_hit)
             ? params_.mysql_hit_demand_ms * s
             : rng.lognormal_mean(it.mysql_miss_demand_ms * s, params_.demand_cv);
-    req->mysql_demand = sim::SimTime::from_millis(per_query_ms);
+    req.mysql_demand = sim::SimTime::from_millis(per_query_ms);
   }
-  req->request_bytes = it.request_bytes;
-  req->response_bytes = it.response_bytes;
-  req->log_bytes = it.log_bytes;
-  req->priority = it.priority;
-  req->db_writes = std::min(it.db_writes, req->db_queries);
+  req.request_bytes = it.request_bytes;
+  req.response_bytes = it.response_bytes;
+  req.log_bytes = it.log_bytes;
+  req.priority = it.priority;
+  req.db_writes = std::min(it.db_writes, req.db_queries);
+  req.key = 0;
   if (params_.key_space > 0) {
     // Appended after every pre-existing draw so the stream (and therefore
     // every MySQL-mode run) is byte-identical when key_space == 0.
     const auto pos = std::upper_bound(zipf_cdf_.begin(), zipf_cdf_.end(),
                                       rng.uniform01());
-    req->key = static_cast<std::uint64_t>(pos - zipf_cdf_.begin());
-    if (req->key >= params_.key_space) req->key = params_.key_space - 1;
+    req.key = static_cast<std::uint64_t>(pos - zipf_cdf_.begin());
+    if (req.key >= params_.key_space) req.key = params_.key_space - 1;
   }
-  return req;
 }
 
 double RubbosWorkload::mean_tomcat_demand_ms() const {

@@ -105,6 +105,12 @@ class RubbosWorkload {
                                 std::uint32_t client,
                                 std::size_t interaction) const;
 
+  /// materialize() into an existing request: the same draws in the same
+  /// order, every workload-owned field overwritten, nothing allocated (the
+  /// trace generator reuses one request for a whole day).
+  void fill(sim::Rng& rng, std::uint64_t id, std::uint32_t client,
+            std::size_t interaction, proto::Request& req) const;
+
   /// Successor set of an interaction under the session model (indices into
   /// interactions()); empty for terminal interactions.
   const std::vector<std::size_t>& successors(std::size_t interaction) const {

@@ -101,13 +101,34 @@ void ArrivalTrace::save(std::ostream& os) const {
   // Times go out as the simulator's own integer nanoseconds: the default
   // ostream double formatting (6 significant digits) used to shave arrival
   // times to ms past t=1000s, breaking save->load->save byte-identity.
+  // Rows are formatted with std::to_chars into a chunk that is written out
+  // whole: the bytes of default ostream integer output, without its
+  // per-field sentry and locale work.
   os << (rich_ ? kHeaderRich : kHeaderLean) << '\n';
+  constexpr std::ptrdiff_t kMaxRow = 64;  // 20+10+5+20+3 digits, 5 separators
+  std::vector<char> chunk(16 * 1024);
+  char* p = chunk.data();
+  char* const end = chunk.data() + chunk.size();
+  const auto field = [&p, end](auto v) { p = std::to_chars(p, end, v).ptr; };
   for (const auto& e : events_) {
-    os << e.at.ns() << ',' << e.client << ',' << e.interaction;
-    if (rich_)
-      os << ',' << e.key << ',' << static_cast<unsigned>(e.priority);
-    os << '\n';
+    if (end - p < kMaxRow) {
+      os.write(chunk.data(), p - chunk.data());
+      p = chunk.data();
+    }
+    field(e.at.ns());
+    *p++ = ',';
+    field(e.client);
+    *p++ = ',';
+    field(e.interaction);
+    if (rich_) {
+      *p++ = ',';
+      field(e.key);
+      *p++ = ',';
+      field(static_cast<unsigned>(e.priority));
+    }
+    *p++ = '\n';
   }
+  os.write(chunk.data(), p - chunk.data());
 }
 
 ArrivalTrace ArrivalTrace::parse(std::string_view text,

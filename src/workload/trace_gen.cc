@@ -149,6 +149,10 @@ ArrivalTrace TraceGenerator::generate(const RubbosWorkload& workload) const {
   const double continue_p =
       spec_.session_mean <= 1.0 ? 0.0 : 1.0 - 1.0 / spec_.session_mean;
 
+  // Every row consumes a whole request's draws (the session stream, and so
+  // the trace bytes, depend on them) but keeps only its key and priority, so
+  // one reused request serves every row.
+  proto::Request req;
   std::uint32_t next_client = 0;
   double t = 0;
   while (true) {
@@ -165,9 +169,9 @@ ArrivalTrace TraceGenerator::generate(const RubbosWorkload& workload) const {
     int prev = -1;
     while (true) {
       const std::size_t k = workload.next_interaction(session_rng, prev);
-      const auto req = workload.materialize(session_rng, 0, client, k);
+      workload.fill(session_rng, 0, client, k, req);
       trace.add_rich(sim::SimTime::from_seconds(st), client,
-                     static_cast<std::uint16_t>(k), req->key, req->priority);
+                     static_cast<std::uint16_t>(k), req.key, req.priority);
       prev = static_cast<int>(k);
       if (!session_rng.bernoulli(continue_p)) break;
       if (spec_.abandon_p > 0 && session_rng.bernoulli(spec_.abandon_p))

@@ -4,7 +4,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <numeric>
+#include <random>
 #include <vector>
 
 namespace ntier::sim {
@@ -163,6 +165,90 @@ TEST(Rng, ZipfSkewsTowardsLowRanks) {
 TEST(Rng, ZipfRejectsEmptyDomain) {
   Rng r(10);
   EXPECT_THROW(r.zipf(0, 1.0), std::invalid_argument);
+}
+
+// --- the in-house MT19937-64 against the library engine ---------------------
+
+/// sim::Rng's draw recipes over std::mt19937_64: the reference the per-draw
+/// engine must match bit for bit.
+class StdRng {
+ public:
+  explicit StdRng(std::uint64_t seed) : engine_(seed) {}
+  StdRng fork() { return StdRng(Rng::mix64(engine_())); }
+  std::uint64_t next_u64() { return engine_(); }
+  double uniform01() { return std::generate_canonical<double, 53>(engine_); }
+  std::int64_t uniform_int(std::int64_t lo, std::int64_t hi) {
+    return std::uniform_int_distribution<std::int64_t>(lo, hi)(engine_);
+  }
+  double exponential(double mean) {
+    return std::exponential_distribution<double>(1.0 / mean)(engine_);
+  }
+  double lognormal_mean(double mean, double cv) {
+    const double sigma2 = std::log(1.0 + cv * cv);
+    const double mu = std::log(mean) - 0.5 * sigma2;
+    return std::lognormal_distribution<double>(mu, std::sqrt(sigma2))(engine_);
+  }
+  bool bernoulli(double p) { return uniform01() < p; }
+  std::size_t weighted_index(const std::vector<double>& weights) {
+    double total = 0;
+    for (double w : weights) total += w;
+    double x = uniform01() * total;
+    for (std::size_t i = 0; i < weights.size(); ++i) {
+      x -= weights[i];
+      if (x < 0) return i;
+    }
+    return weights.size() - 1;
+  }
+
+ private:
+  std::mt19937_64 engine_;
+};
+
+/// Every draw kind once per round, so each distribution sees engine words
+/// on both sides of every twist boundary.
+void expect_same_draws(Rng& rng, StdRng& ref, int rounds) {
+  const std::vector<double> weights{0.5, 3.0, 0.0, 1.25, 7.0};
+  for (int r = 0; r < rounds; ++r) {
+    ASSERT_EQ(rng.uniform01(), ref.uniform01()) << "round " << r;
+    ASSERT_EQ(rng.exponential(0.37), ref.exponential(0.37)) << "round " << r;
+    ASSERT_EQ(rng.lognormal_mean(0.55, 0.3), ref.lognormal_mean(0.55, 0.3))
+        << "round " << r;
+    ASSERT_EQ(rng.uniform_int(-5, 1'000'003), ref.uniform_int(-5, 1'000'003))
+        << "round " << r;
+    ASSERT_EQ(rng.uniform_int(INT64_MIN, INT64_MAX),
+              ref.uniform_int(INT64_MIN, INT64_MAX))
+        << "round " << r;
+    ASSERT_EQ(rng.bernoulli(0.85), ref.bernoulli(0.85)) << "round " << r;
+    ASSERT_EQ(rng.weighted_index(weights), ref.weighted_index(weights))
+        << "round " << r;
+  }
+}
+
+TEST(Rng, EngineMatchesStdMt19937_64) {
+  static_assert(Mt19937_64::min() == std::mt19937_64::min());
+  static_assert(Mt19937_64::max() == std::mt19937_64::max());
+  std::vector<std::uint64_t> seeds{0, 1, 42, UINT64_MAX};
+  for (std::uint64_t i = 0; i < 1000; ++i) seeds.push_back(Rng::mix64(i));
+  for (const std::uint64_t seed : seeds) {
+    SCOPED_TRACE(seed);
+    // Raw words across three full generations plus a partial fourth.
+    Mt19937_64 engine(seed);
+    std::mt19937_64 lib(seed);
+    for (std::size_t i = 0; i < 3 * Mt19937_64::kN + 7; ++i)
+      ASSERT_EQ(engine(), lib()) << "draw " << i;
+
+    // The Rng recipes, and a chain of forks each drawing across a boundary.
+    Rng rng(seed);
+    StdRng ref(seed);
+    ASSERT_EQ(rng.next_u64(), ref.next_u64());
+    ASSERT_NO_FATAL_FAILURE(expect_same_draws(rng, ref, 60));
+    for (int depth = 0; depth < 4; ++depth) {
+      SCOPED_TRACE(depth);
+      rng = rng.fork();
+      ref = ref.fork();
+      ASSERT_NO_FATAL_FAILURE(expect_same_draws(rng, ref, 50));
+    }
+  }
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <map>
 #include <sstream>
+#include <string_view>
 
 namespace ntier::workload {
 namespace {
@@ -148,6 +149,43 @@ TEST(TraceGenerator, FlashCrowdConcentratesArrivals) {
   const auto flash = count_in(20, 25);
   const auto before = count_in(10, 15);
   EXPECT_GT(static_cast<double>(flash), 2.0 * static_cast<double>(before));
+}
+
+std::uint64_t fnv1a(std::string_view bytes) {
+  std::uint64_t h = 0xCBF29CE484222325ull;
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001B3ull;
+  }
+  return h;
+}
+
+TEST(TraceGenerator, GoldenTraceBytes) {
+  // The cost benchmark's replay_flash_day spec cut to 10 s. The hashes pin
+  // the saved CSV bytes: a change to the engine, the draw order or the
+  // writer that moves one byte of a generated day fails here.
+  struct Golden {
+    std::uint64_t seed;
+    std::size_t rows;
+    std::uint64_t fnv;
+  };
+  for (const Golden& g : {Golden{42, 53515, 0xA1DC89C6A1C432C7ull},
+                          Golden{1729, 53215, 0xA3713CF1CECBCF4Dull}}) {
+    SCOPED_TRACE(g.seed);
+    std::string err;
+    const auto spec = trace_gen_spec_from_string(
+        "seed=" + std::to_string(g.seed) +
+            ",duration=10,base-rps=8000,diurnal-amplitude=0.3,flash-at=30,"
+            "flash-duration=5,flash-multiplier=2",
+        &err);
+    ASSERT_TRUE(spec.has_value()) << err;
+    const RubbosWorkload workload;
+    const auto trace = TraceGenerator(*spec).generate(workload);
+    std::ostringstream csv;
+    trace.save(csv);
+    EXPECT_EQ(trace.size(), g.rows);
+    EXPECT_EQ(fnv1a(csv.str()), g.fnv);
+  }
 }
 
 TEST(TraceGenerator, InvalidSpecThrows) {

@@ -92,6 +92,53 @@ TEST(ArrivalTrace, SaveLoadSaveIsByteIdentical) {
   EXPECT_EQ(first.str(), second.str());
 }
 
+/// The writer the chunked std::to_chars save replaced: default ostream
+/// formatting of every field.
+std::string stream_formatted(const ArrivalTrace& trace) {
+  std::ostringstream os;
+  os << (trace.rich() ? "at_ns,client,interaction,key,priority"
+                      : "at_ns,client,interaction")
+     << '\n';
+  for (const auto& e : trace.events()) {
+    os << e.at.ns() << ',' << e.client << ',' << e.interaction;
+    if (trace.rich())
+      os << ',' << e.key << ',' << static_cast<unsigned>(e.priority);
+    os << '\n';
+  }
+  return os.str();
+}
+
+TEST(ArrivalTrace, SaveMatchesStreamFormatting) {
+  ArrivalTrace lean, rich;
+  lean.add(SimTime::zero(), 0, 0);
+  lean.add(SimTime::max(), UINT32_MAX, UINT16_MAX);
+  rich.add_rich(SimTime::zero(), 0, 0, 0, 0);
+  rich.add_rich(SimTime::max(), UINT32_MAX, UINT16_MAX, UINT64_MAX, 2);
+  // Enough mixed-width rows to cross many output chunks.
+  std::uint64_t x = 0x9E3779B97F4A7C15ull;
+  for (int i = 0; i < 20'000; ++i) {
+    x = sim::Rng::mix64(x);
+    const auto at =
+        SimTime::nanos(static_cast<std::int64_t>(x >> (1 + x % 63)));
+    const auto client = static_cast<std::uint32_t>(x >> (32 + x % 32));
+    const auto interaction = static_cast<std::uint16_t>(x % 24);
+    lean.add(at, client, interaction);
+    rich.add_rich(at, client, interaction, x >> (x % 61),
+                  static_cast<std::uint8_t>(x % 3));
+  }
+  for (const ArrivalTrace* trace : {&lean, &rich}) {
+    SCOPED_TRACE(trace->rich() ? "rich" : "lean");
+    std::ostringstream first;
+    trace->save(first);
+    EXPECT_EQ(first.str(), stream_formatted(*trace));
+    const auto parsed = ArrivalTrace::parse(first.str());
+    EXPECT_EQ(parsed.rich(), trace->rich());
+    std::ostringstream second;
+    parsed.save(second);
+    EXPECT_EQ(second.str(), first.str());
+  }
+}
+
 TEST(ArrivalTrace, RichSchemaRoundTripsKeysAndPriorities) {
   ArrivalTrace trace;
   trace.add_rich(SimTime::millis(5), 12, 3, 0xDEADBEEFCAFEull, 0);

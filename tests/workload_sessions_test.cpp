@@ -2,6 +2,8 @@
 // sticky-session route adoption at the client, and bursty arrivals.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "sim/simulation.h"
 #include "workload/client.h"
 #include "workload/rubbos.h"
@@ -65,6 +67,45 @@ TEST(MarkovSessions, DisabledIgnoresPrev) {
   sim::Rng a(7), b(7);
   for (int i = 0; i < 200; ++i)
     EXPECT_EQ(w.next_interaction(a, 2), w.next_interaction(b, -1));
+}
+
+/// The Markov step as it was before it picked over the successor set in
+/// place: a vector of the successors' mix weights through weighted_index.
+std::size_t vector_step(const RubbosWorkload& w, sim::Rng& rng, int prev) {
+  std::vector<double> weights;
+  for (const auto& it : w.interactions())
+    weights.push_back(w.params().mix == Mix::kBrowseOnly ? it.weight_browse
+                                                         : it.weight_rw);
+  if (prev >= 0 && rng.bernoulli(w.params().p_follow)) {
+    const auto& succ = w.successors(static_cast<std::size_t>(prev));
+    std::vector<double> sw;
+    double total = 0;
+    for (std::size_t s : succ) {
+      sw.push_back(weights[s]);
+      total += weights[s];
+    }
+    if (total > 0) return succ[rng.weighted_index(sw)];
+  }
+  return rng.weighted_index(weights);
+}
+
+TEST(MarkovSessions, InPlaceStepMatchesVectorWeightedIndex) {
+  for (const Mix mix : {Mix::kReadWrite, Mix::kBrowseOnly}) {
+    SCOPED_TRACE(to_string(mix));
+    WorkloadParams p;
+    p.markov_sessions = true;
+    p.mix = mix;
+    RubbosWorkload w(p);
+    sim::Rng a(11), b(11);
+    int prev = -1;
+    for (int i = 0; i < 20'000; ++i) {
+      const std::size_t got = w.next_interaction(a, prev);
+      ASSERT_EQ(got, vector_step(w, b, prev)) << "step " << i;
+      // Restart a session now and then so both branches stay exercised.
+      prev = i % 7 == 0 ? -1 : static_cast<int>(got);
+    }
+    EXPECT_EQ(a.next_u64(), b.next_u64());  // the same number of draws
+  }
 }
 
 TEST(MarkovSessions, MakeRequestThreadsPrevThrough) {

@@ -1,16 +1,22 @@
 // Microbenchmarks of the simulator hot paths (google-benchmark): event
 // queue throughput, processor-sharing CPU churn, balancer decision latency,
-// random streams and trace generation, and end-to-end
-// simulated-seconds-per-wall-second of the full testbed.
+// random streams and trace generation, the cache store and the telemetry
+// timeline, and end-to-end simulated-seconds-per-wall-second of the full
+// testbed.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <functional>
 #include <random>
+#include <vector>
 
+#include "cache/store.h"
 #include "experiment/experiment.h"
 #include "lb/load_balancer.h"
 #include "net/link.h"
+#include "obs/telemetry.h"
 #include "os/cpu.h"
 #include "sim/callback.h"
 #include "sim/event_queue.h"
@@ -300,6 +306,66 @@ static void BM_TraceGenerate(benchmark::State& state) {
   state.SetItemsProcessed(rows);
 }
 BENCHMARK(BM_TraceGenerate)->Unit(benchmark::kMillisecond);
+
+// The cache tier's read path: Zipf(1.1) keys over 10k ranks (the hottest
+// rank is key 0, as in the workload), looked up in a 2048-entry store and
+// filled on a miss, with a TTL long enough that only LRU eviction removes
+// entries. Keys are drawn up front so the loop times only the store.
+static void BM_CacheStoreLookup(benchmark::State& state) {
+  constexpr std::size_t kKeySpace = 10'000;
+  std::vector<double> cdf(kKeySpace);
+  double total = 0;
+  for (std::size_t r = 0; r < kKeySpace; ++r)
+    cdf[r] = total += std::pow(static_cast<double>(r + 1), -1.1);
+  std::mt19937_64 rng(42);
+  std::uniform_real_distribution<double> u(0.0, total);
+  std::vector<std::uint64_t> keys(1 << 16);
+  for (auto& k : keys)
+    k = std::min<std::uint64_t>(
+        static_cast<std::uint64_t>(
+            std::upper_bound(cdf.begin(), cdf.end(), u(rng)) - cdf.begin()),
+        kKeySpace - 1);
+  cache::CacheStore store(2048);
+  const sim::SimTime ttl = sim::SimTime::seconds(3600);
+  sim::SimTime now = sim::SimTime::zero();
+  std::size_t i = 0;
+  std::uint64_t hits = 0;
+  for (auto _ : state) {
+    const std::uint64_t key = keys[i++ & (keys.size() - 1)];
+    now = now + sim::SimTime::micros(10);
+    if (store.lookup(key, now))
+      ++hits;
+    else
+      store.insert(key, now, ttl);
+  }
+  benchmark::DoNotOptimize(hits);
+  state.SetItemsProcessed(state.iterations());
+  state.counters["hit_ratio"] =
+      static_cast<double>(hits) / static_cast<double>(state.iterations());
+}
+BENCHMARK(BM_CacheStoreLookup);
+
+// One telemetry instrument's timeline at the default 50 ms fine windows
+// (1 s coarse roll-up): a sample every 100 us, values spread over four
+// decades as response times are, so every window builds its own sketch.
+static void BM_TelemetryRecord(benchmark::State& state) {
+  obs::TelemetryConfig cfg;
+  cfg.enabled = true;
+  obs::MultiResTimeline timeline(cfg);
+  std::mt19937_64 rng(42);
+  std::lognormal_distribution<double> rt_ms(1.5, 1.2);
+  std::vector<double> values(1 << 16);
+  for (double& v : values) v = rt_ms(rng);
+  sim::SimTime now = sim::SimTime::zero();
+  std::size_t i = 0;
+  for (auto _ : state) {
+    now = now + sim::SimTime::micros(100);
+    timeline.record(now, values[i++ & (values.size() - 1)]);
+  }
+  benchmark::DoNotOptimize(timeline.recorded());
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_TelemetryRecord);
 
 static void BM_FullTestbedSimulatedSecond(benchmark::State& state) {
   for (auto _ : state) {

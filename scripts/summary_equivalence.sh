@@ -7,7 +7,9 @@
 # and from the working tree, runs the costbench workloads' flag sets
 # (costbench/run.py: fig6_baseline, kv_cache_stack, replay_flash_day) at
 # seeds 42 and 1729, and requires the `--json` RunSummary of each pair to be
-# byte-identical. replay_flash_day replays a trace generated in-process with
+# byte-identical, and the `--csv` directory of each pair (tier series and,
+# where telemetry is on, every per-window sketch in telemetry.csv) to match
+# file for file and byte for byte. replay_flash_day replays a trace generated in-process with
 # `--trace-gen` from the benchmark's own spec. One more cell, fig6_chaos,
 # runs the fig6_baseline flags under `--chaos --chaos-seed 7`, so links whose
 # latency changes mid-run (fault latency) and the other injected faults come
@@ -76,14 +78,20 @@ while IFS=$'\t' read -r -a row; do
     flags=()
     for f in "${row[@]:1}"; do flags+=("${f//\{seed\}/$seed}"); done
     for side in base head; do
+      rm -rf "$work/$name.$seed.$side.csv"
       "$work/$side/tools/ntier_run" "${flags[@]}" --seed "$seed" --quiet \
-        --json "$work/$name.$seed.$side.json"
+        --json "$work/$name.$seed.$side.json" \
+        --csv "$work/$name.$seed.$side.csv"
     done
-    if cmp -s "$work/$name.$seed.base.json" "$work/$name.$seed.head.json"; then
-      echo "identical  $name seed $seed"
-    else
-      echo "DIFFERENT  $name seed $seed"
+    if ! cmp -s "$work/$name.$seed.base.json" "$work/$name.$seed.head.json"; then
+      echo "DIFFERENT  $name seed $seed (--json)"
       status=1
+    elif ! diff -r -q "$work/$name.$seed.base.csv" \
+        "$work/$name.$seed.head.csv" >/dev/null; then
+      echo "DIFFERENT  $name seed $seed (--csv)"
+      status=1
+    else
+      echo "identical  $name seed $seed"
     fi
   done
 done <<< "$workloads"

@@ -52,12 +52,15 @@ void KvReplica::on_op_done() {
 }
 
 std::uint64_t KvReplica::version_of(std::uint64_t key) const {
-  const auto it = versions_.find(key);
-  return it == versions_.end() ? 0 : it->second;
+  const std::uint32_t slot = version_slot_.find(key);
+  return slot == sim::FlatIndex::kNone ? 0 : versions_[slot];
 }
 
 bool KvReplica::apply_write(std::uint64_t key, std::uint64_t version) {
-  auto& stored = versions_[key];
+  const auto [slot, inserted] = version_slot_.emplace(
+      key, static_cast<std::uint32_t>(versions_.size()));
+  if (inserted) versions_.push_back(0);
+  std::uint64_t& stored = versions_[slot];
   if (version <= stored) return false;
   stored = version;
   ++writes_applied_;

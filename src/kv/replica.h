@@ -2,13 +2,13 @@
 
 #include <cstdint>
 #include <deque>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "metrics/time_series.h"
 #include "os/node.h"
 #include "sim/callback.h"
+#include "sim/flat_index.h"
 #include "sim/simulation.h"
 
 namespace ntier::kv {
@@ -105,7 +105,8 @@ class KvReplica {
   int resident_ = 0;
   std::uint64_t served_ = 0;
   std::uint64_t writes_applied_ = 0;
-  std::unordered_map<std::uint64_t, std::uint64_t> versions_;
+  sim::FlatIndex version_slot_;          // key -> index into versions_
+  std::vector<std::uint64_t> versions_;  // stored version per known key
   std::deque<std::pair<sim::SimTime, sim::Callback>> waiting_;
   std::deque<Hint> hints_;
   metrics::GaugeSeries queue_trace_;

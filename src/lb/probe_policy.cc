@@ -75,26 +75,24 @@ int PrequalPolicy::pick(const std::vector<WorkerRecord>& records,
   if (eligible.empty()) return -1;
   if (pool_ != nullptr) {
     pool_->expire_now();
-    std::vector<probe::ProbeResult> fresh;
-    fresh.reserve(eligible.size());
+    fresh_.clear();
     for (int idx : eligible)
       if (auto r = pool_->freshest(idx)) {
         // Rank on the drift-corrected estimate from here on.
         r->rif = corrected_rif(*r, records[static_cast<std::size_t>(idx)]);
-        fresh.push_back(*r);
+        fresh_.push_back(*r);
       }
-    if (!fresh.empty()) {
+    if (!fresh_.empty()) {
       // Hot threshold: the configured quantile of the fresh RIFs, widened by
       // the hot_factor safety margin so ordinary spread around a balanced
       // point marks nobody hot while a millibottleneck's queue spike does.
-      std::vector<double> rifs;
-      rifs.reserve(fresh.size());
-      for (const auto& r : fresh) rifs.push_back(r.rif);
-      std::sort(rifs.begin(), rifs.end());
+      rifs_.clear();
+      for (const auto& r : fresh_) rifs_.push_back(r.rif);
+      std::sort(rifs_.begin(), rifs_.end());
       const auto& pc = pool_->config();
       const auto pos = static_cast<std::size_t>(
-          std::floor(pc.hot_quantile * static_cast<double>(rifs.size() - 1)));
-      const double quantile = rifs[std::min(pos, rifs.size() - 1)];
+          std::floor(pc.hot_quantile * static_cast<double>(rifs_.size() - 1)));
+      const double quantile = rifs_[std::min(pos, rifs_.size() - 1)];
       const double hot_threshold =
           std::max(quantile * pc.hot_factor, quantile + 1.0);
 
@@ -105,7 +103,7 @@ int PrequalPolicy::pick(const std::vector<WorkerRecord>& records,
       double best_lat = 0.0;
       int best_hot = -1;
       double best_hot_rif = 0.0;
-      for (const auto& r : fresh) {
+      for (const auto& r : fresh_) {
         if (r.rif <= hot_threshold) {
           if (best_cold < 0 || r.latency_ms < best_lat ||
               (r.latency_ms == best_lat && r.worker < best_cold)) {
@@ -148,7 +146,7 @@ int PrequalPolicy::pick(const std::vector<WorkerRecord>& records,
         ++tied;
         double rif = 0.0;
         bool probed = false;
-        for (const auto& r : fresh)
+        for (const auto& r : fresh_)
           if (r.worker == idx) {
             rif = r.rif;
             probed = true;

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "lb/policy.h"
 #include "probe/probe_pool.h"
@@ -89,6 +90,11 @@ class PrequalPolicy final : public ProbeAwarePolicy {
   PolicyKind kind() const override { return PolicyKind::kPrequal; }
   int pick(const std::vector<WorkerRecord>& records,
            const std::vector<int>& eligible, sim::Rng& rng) override;
+
+ private:
+  // Per-pick scratch, kept so a pick allocates nothing once warm.
+  std::vector<probe::ProbeResult> fresh_;
+  std::vector<double> rifs_;
 };
 
 }  // namespace ntier::lb

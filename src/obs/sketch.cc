@@ -77,6 +77,14 @@ void DDSketch::record(double value) { record_n(value, 1); }
 
 void DDSketch::record_n(double value, std::uint64_t n) {
   if (n == 0) return;
+  add(value, value > 0 ? index_of(value) : 0, n);
+}
+
+void DDSketch::record_in_bucket(double value, int index) {
+  add(value, index, 1);
+}
+
+void DDSketch::add(double value, int index, std::uint64_t n) {
   if (count_ == 0) {
     min_ = value;
     max_ = value;
@@ -90,19 +98,41 @@ void DDSketch::record_n(double value, std::uint64_t n) {
     zero_count_ += n;
     return;
   }
-  buckets_[index_of(value)] += n;
+  add_to_bucket(index, n);
   if (buckets_.size() > config_.max_buckets) collapse();
 }
 
-void DDSketch::collapse() {
-  // Collapse the lowest buckets together until the bound holds; the
-  // low-quantile estimates coarsen, the upper ones keep their guarantee.
-  while (buckets_.size() > config_.max_buckets) {
-    auto lowest = buckets_.begin();
-    auto next = std::next(lowest);
-    next->second += lowest->second;
-    buckets_.erase(lowest);
+void DDSketch::add_to_bucket(int index, std::uint64_t n) {
+  // Binary search for the first bucket not below `index`, written so the
+  // step compiles to a conditional move: successive samples land in
+  // unpredictable buckets, and a branching search mispredicts most steps.
+  std::size_t pos = 0;
+  if (!buckets_.empty()) {
+    const auto* base = buckets_.data();
+    for (std::size_t len = buckets_.size(); len > 1;) {
+      const std::size_t half = len / 2;
+      base = base[half].first < index ? base + half : base;
+      len -= half;
+    }
+    pos = static_cast<std::size_t>(base - buckets_.data()) +
+          (base->first < index);
   }
+  if (pos < buckets_.size() && buckets_[pos].first == index)
+    buckets_[pos].second += n;
+  else
+    buckets_.insert(buckets_.begin() + static_cast<std::ptrdiff_t>(pos),
+                    {index, n});
+}
+
+void DDSketch::collapse() {
+  // Collapse the lowest buckets together until the bound holds: the lowest
+  // survivor absorbs every count below it. The low-quantile estimates
+  // coarsen, the upper ones keep their guarantee.
+  const std::size_t drop = buckets_.size() - config_.max_buckets;
+  for (std::size_t i = 0; i < drop; ++i)
+    buckets_[drop].second += buckets_[i].second;
+  buckets_.erase(buckets_.begin(),
+                 buckets_.begin() + static_cast<std::ptrdiff_t>(drop));
 }
 
 void DDSketch::merge(const DDSketch& other) {
@@ -117,7 +147,7 @@ void DDSketch::merge(const DDSketch& other) {
   count_ += other.count_;
   sum_ += other.sum_;
   zero_count_ += other.zero_count_;
-  for (const auto& [idx, c] : other.buckets_) buckets_[idx] += c;
+  for (const auto& [idx, c] : other.buckets_) add_to_bucket(idx, c);
   if (buckets_.size() > config_.max_buckets) collapse();
 }
 
@@ -210,7 +240,7 @@ std::optional<DDSketch> DDSketch::deserialize(const std::string& bytes) {
     p = expect(p, end, ":");
     if (p) p = parse_u64(p, end, &c);
     if (!p) return std::nullopt;
-    sketch.buckets_[idx] += c;
+    sketch.add_to_bucket(idx, c);
     bucketed += c;
   }
   if (zero + bucketed != count) return std::nullopt;

@@ -1,9 +1,10 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <string>
+#include <utility>
+#include <vector>
 
 namespace ntier::obs {
 
@@ -28,8 +29,9 @@ struct SketchConfig {
 /// factor (1±a) of every value it absorbed, so any quantile read back is
 /// within a of the true sample quantile — without retaining samples.
 ///
-/// Buckets live in an ordered map, so iteration, serialisation and merge
-/// results are byte-deterministic: merging the same multiset of sketches in
+/// Buckets live in one vector of (index, count) pairs sorted by index and
+/// found by binary search, so iteration, serialisation and merge results
+/// are byte-deterministic: merging the same multiset of sketches in
 /// any order yields identical serialized bytes (merge is commutative and,
 /// as long as the bucket bound is not hit mid-way, associative).
 class DDSketch {
@@ -42,6 +44,14 @@ class DDSketch {
   void record(double value);
   /// Record `n` identical samples at once.
   void record_n(double value, std::uint64_t n);
+
+  /// The bucket a positive value falls in. Sketches built from one config
+  /// agree on it, so a caller feeding several of them computes it once and
+  /// passes it to record_in_bucket.
+  int index_of(double value) const;
+  /// record(value) with `index == index_of(value)` already computed
+  /// (ignored for values <= 0, which go to the zero bucket).
+  void record_in_bucket(double value, int index);
 
   /// Merge another sketch into this one. Requires identical configs.
   void merge(const DDSketch& other);
@@ -70,14 +80,17 @@ class DDSketch {
   void clear();
 
  private:
-  int index_of(double value) const;
   double value_of(int index) const;
+  /// Shared body of record_n and record_in_bucket (`n` > 0).
+  void add(double value, int index, std::uint64_t n);
+  /// Add `n` to bucket `index`, creating it (even for n == 0) if absent.
+  void add_to_bucket(int index, std::uint64_t n);
   void collapse();
 
   SketchConfig config_;
   double gamma_ = 0;
   double inv_log_gamma_ = 0;
-  std::map<int, std::uint64_t> buckets_;
+  std::vector<std::pair<int, std::uint64_t>> buckets_;  // sorted by index
   std::uint64_t zero_count_ = 0;
   std::uint64_t count_ = 0;
   double sum_ = 0;

@@ -49,10 +49,12 @@ void MultiResTimeline::record(sim::SimTime t, double v) {
   if (!fine_slots_.empty() && w < fine_base_) w = fine_base_;  // late sample
   advance_to(w);
   Slot& slot = fine_slots_[w - fine_base_];
+  // Every sketch here shares sketch_cfg_, so one bucket index serves both.
+  const int bucket = v > 0 ? run_sketch_.index_of(v) : 0;
   slot.stats.add(v);
-  slot.sketch.record(v);
+  slot.sketch.record_in_bucket(v, bucket);
   totals_.add(v);
-  run_sketch_.record(v);
+  run_sketch_.record_in_bucket(v, bucket);
   ++recorded_;
 }
 

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
@@ -97,8 +98,18 @@ class Rng {
   std::uint64_t next_u64() { return engine_(); }
 
   /// Uniform in [0, 1).
-  double uniform01() {
-    return std::generate_canonical<double, 53>(engine_);
+  double uniform01() { return unit_interval(engine_()); }
+
+  /// One engine word as a double in [0, 1), bit-identical to
+  /// std::generate_canonical<double, 53> over a 64-bit engine: the word
+  /// rounded once to double, scaled by 2^-64, and clamped below 1. Adding
+  /// the two exact 32-bit halves does that rounding without the sign-bit
+  /// branch of a u64 -> double conversion.
+  static double unit_interval(std::uint64_t word) {
+    const double r = (static_cast<double>(word >> 32) * 0x1p32 +
+                      static_cast<double>(word & 0xFFFFFFFFull)) *
+                     0x1p-64;
+    return std::min(r, 0x1.fffffffffffffp-1);  // nextafter(1.0, 0.0)
   }
 
   /// Uniform in [lo, hi).

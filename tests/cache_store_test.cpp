@@ -5,6 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <iterator>
+#include <list>
+#include <random>
+#include <unordered_map>
+
 #include "cache/config.h"
 #include "sim/time.h"
 
@@ -104,6 +110,124 @@ TEST(CacheStore, ZeroCapacityClampsToOneEntry) {
   EXPECT_EQ(store.size(), 1u);
   EXPECT_EQ(store.evictions(), 1u);
   EXPECT_TRUE(store.lookup(2, SimTime::millis(2)));
+}
+
+// -- reference model -----------------------------------------------------------
+
+/// The store as first written: a std::list LRU (front = most recently used)
+/// indexed by a std::unordered_map. CacheStore must agree with it on every
+/// return value and counter.
+class ListLruStore {
+ public:
+  explicit ListLruStore(std::size_t capacity)
+      : capacity_(capacity ? capacity : 1) {}
+
+  bool lookup(std::uint64_t key, SimTime now) {
+    const auto it = index_.find(key);
+    if (it == index_.end()) return false;
+    if (it->second->expires <= now) {
+      ++expirations_;
+      erase(it->second);
+      return false;
+    }
+    lru_.splice(lru_.begin(), lru_, it->second);
+    return true;
+  }
+  bool holds(std::uint64_t key, SimTime now) {
+    const auto it = index_.find(key);
+    if (it == index_.end()) return false;
+    if (it->second->expires <= now) {
+      ++expirations_;
+      erase(it->second);
+      return false;
+    }
+    return true;
+  }
+  void insert(std::uint64_t key, SimTime now, SimTime ttl) {
+    const auto it = index_.find(key);
+    if (it != index_.end()) {
+      it->second->expires = now + ttl;
+      lru_.splice(lru_.begin(), lru_, it->second);
+      return;
+    }
+    lru_.push_front(Entry{key, now + ttl});
+    index_[key] = lru_.begin();
+    if (index_.size() > capacity_) {
+      ++evictions_;
+      erase(std::prev(lru_.end()));
+    }
+  }
+  bool invalidate(std::uint64_t key) {
+    const auto it = index_.find(key);
+    if (it == index_.end()) return false;
+    erase(it->second);
+    return true;
+  }
+  std::size_t size() const { return index_.size(); }
+  std::uint64_t evictions() const { return evictions_; }
+  std::uint64_t expirations() const { return expirations_; }
+
+ private:
+  struct Entry {
+    std::uint64_t key = 0;
+    SimTime expires;
+  };
+  void erase(std::list<Entry>::iterator it) {
+    index_.erase(it->key);
+    lru_.erase(it);
+  }
+
+  std::size_t capacity_;
+  std::list<Entry> lru_;
+  std::unordered_map<std::uint64_t, std::list<Entry>::iterator> index_;
+  std::uint64_t evictions_ = 0;
+  std::uint64_t expirations_ = 0;
+};
+
+TEST(CacheStore, MatchesListLruReferenceOnRandomStreams) {
+  for (const std::size_t capacity : {1u, 2u, 64u}) {
+    SCOPED_TRACE(capacity);
+    CacheStore store(capacity);
+    ListLruStore ref(capacity);
+    std::mt19937_64 rng(capacity * 1000 + 7);
+    // Keys from a range about twice the capacity, so hits, misses,
+    // evictions and refreshes all happen. The clock advances 1 ms per call
+    // on average and TTLs run from 1 ms to 8 ms per key, so a full store
+    // is common and so are expired entries.
+    const std::uint64_t keys = 2 * capacity + 3;
+    const auto max_ttl_us = static_cast<std::uint64_t>(8000 * keys);
+    SimTime now = SimTime::zero();
+    for (int step = 0; step < 200'000; ++step) {
+      now = now + SimTime::micros(static_cast<std::int64_t>(rng() % 2000));
+      const std::uint64_t key = rng() % keys;
+      const SimTime ttl =
+          SimTime::micros(1000 + static_cast<std::int64_t>(rng() % max_ttl_us));
+      switch (rng() % 4) {
+        case 0:
+          ASSERT_EQ(store.lookup(key, now), ref.lookup(key, now))
+              << "step " << step;
+          break;
+        case 1:
+          ASSERT_EQ(store.holds(key, now), ref.holds(key, now))
+              << "step " << step;
+          break;
+        case 2:
+          store.insert(key, now, ttl);
+          ref.insert(key, now, ttl);
+          break;
+        default:
+          ASSERT_EQ(store.invalidate(key), ref.invalidate(key))
+              << "step " << step;
+          break;
+      }
+      ASSERT_EQ(store.size(), ref.size()) << "step " << step;
+      ASSERT_EQ(store.evictions(), ref.evictions()) << "step " << step;
+      ASSERT_EQ(store.expirations(), ref.expirations()) << "step " << step;
+    }
+    // The stream exercised every path.
+    EXPECT_GT(ref.evictions(), 0u);
+    EXPECT_GT(ref.expirations(), 0u);
+  }
 }
 
 // -- CacheConfig parsing ------------------------------------------------------

@@ -224,6 +224,50 @@ void expect_same_draws(Rng& rng, StdRng& ref, int rounds) {
   }
 }
 
+/// A 64-bit "engine" that returns one fixed word: feeds that word to
+/// std::generate_canonical.
+struct FixedWord {
+  using result_type = std::uint64_t;
+  static constexpr result_type min() { return 0; }
+  static constexpr result_type max() { return ~result_type{0}; }
+  result_type word;
+  result_type operator()() const { return word; }
+};
+
+TEST(Rng, Uniform01MatchesGenerateCanonical) {
+  const auto expect_same = [](std::uint64_t w) {
+    FixedWord engine{w};
+    const double want = std::generate_canonical<double, 53>(engine);
+    ASSERT_EQ(Rng::unit_interval(w), want) << "word " << w;
+    ASSERT_LT(Rng::unit_interval(w), 1.0) << "word " << w;
+  };
+  expect_same(0);
+  // Words around each power of two, where the rounding of the low half
+  // into the high half carries.
+  for (int k = 0; k < 64; ++k) {
+    const std::uint64_t p = std::uint64_t{1} << k;
+    for (std::uint64_t d = 0; d <= 3; ++d) {
+      expect_same(p + d);
+      expect_same(p - d);
+    }
+  }
+  // Half-way cases around 2^63 and the words that round up to 2^64 (the
+  // clamp below 1).
+  const std::uint64_t half = std::uint64_t{1} << 63;
+  for (std::uint64_t d = 0; d <= 5000; ++d) {
+    expect_same(half + d);
+    expect_same(half - d);
+  }
+  for (std::uint64_t d = 0; d < 5000; ++d) expect_same(UINT64_MAX - d);
+  std::mt19937_64 words(2024);
+  for (int i = 0; i < 1'000'000; ++i) expect_same(words());
+  // uniform01 is unit_interval of the next engine word.
+  Rng rng(7);
+  Mt19937_64 engine(7);
+  for (int i = 0; i < 1000; ++i)
+    ASSERT_EQ(rng.uniform01(), Rng::unit_interval(engine()));
+}
+
 TEST(Rng, EngineMatchesStdMt19937_64) {
   static_assert(Mt19937_64::min() == std::mt19937_64::min());
   static_assert(Mt19937_64::max() == std::mt19937_64::max());

@@ -3,8 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdint>
+#include <iterator>
+#include <map>
+#include <string>
 #include <vector>
 
 namespace ntier::obs {
@@ -228,6 +232,183 @@ TEST(DDSketch, MergeRequiresNothingOfEmptySketches) {
   EXPECT_EQ(b.serialize(), before);
   a.merge(b);  // merging into an empty sketch copies
   EXPECT_TRUE(a == b);
+}
+
+// -- reference model -----------------------------------------------------------
+
+/// The sketch as first written: buckets in a std::map, the lowest merged
+/// into the next one at a time while over the bound. DDSketch must produce
+/// the same serialize() bytes and bucket count.
+class MapSketch {
+ public:
+  explicit MapSketch(SketchConfig cfg) : cfg_(cfg) {
+    gamma_ = (1.0 + cfg_.relative_accuracy) / (1.0 - cfg_.relative_accuracy);
+    inv_log_gamma_ = 1.0 / std::log(gamma_);
+  }
+
+  void record_n(double v, std::uint64_t n) {
+    if (n == 0) return;
+    note(v, v, n, v * static_cast<double>(n));
+    if (v <= 0) {
+      zero_ += n;
+      return;
+    }
+    buckets_[static_cast<int>(std::ceil(std::log(v) * inv_log_gamma_))] += n;
+    collapse();
+  }
+  void merge(const MapSketch& o) {
+    if (o.count_ == 0) return;
+    note(o.min_, o.max_, o.count_, o.sum_);
+    zero_ += o.zero_;
+    for (const auto& [idx, c] : o.buckets_) buckets_[idx] += c;
+    collapse();
+  }
+  /// Buckets exactly as deserialize() reads them: duplicates summed, zero
+  /// counts kept, no collapse.
+  void load(std::uint64_t zero, const std::vector<std::pair<int, std::uint64_t>>& b,
+            double sum, double lo, double hi) {
+    zero_ = zero;
+    count_ = zero;
+    for (const auto& [idx, c] : b) {
+      buckets_[idx] += c;
+      count_ += c;
+    }
+    sum_ = sum;
+    min_ = lo;
+    max_ = hi;
+  }
+  std::size_t num_buckets() const { return buckets_.size(); }
+  std::string serialize() const {
+    std::string out = "ddsk1 a=" + chars(cfg_.relative_accuracy) +
+                      " b=" + chars(cfg_.max_buckets) + " z=" + chars(zero_) +
+                      " n=" + chars(count_) + " s=" + chars(sum_) +
+                      " lo=" + chars(min_) + " hi=" + chars(max_) + " |";
+    for (const auto& [idx, c] : buckets_)
+      out += " " + chars(idx) + ":" + chars(c);
+    return out;
+  }
+
+ private:
+  template <typename T>
+  static std::string chars(T v) {
+    char buf[64];
+    const auto res = std::to_chars(buf, buf + sizeof buf, v);
+    return std::string(buf, res.ptr);
+  }
+  void note(double lo, double hi, std::uint64_t n, double sum) {
+    if (count_ == 0) {
+      min_ = lo;
+      max_ = hi;
+    } else {
+      min_ = std::min(min_, lo);
+      max_ = std::max(max_, hi);
+    }
+    count_ += n;
+    sum_ += sum;
+  }
+  void collapse() {
+    while (buckets_.size() > cfg_.max_buckets) {
+      const auto lowest = buckets_.begin();
+      std::next(lowest)->second += lowest->second;
+      buckets_.erase(lowest);
+    }
+  }
+
+  SketchConfig cfg_;
+  double gamma_ = 0;
+  double inv_log_gamma_ = 0;
+  std::map<int, std::uint64_t> buckets_;
+  std::uint64_t zero_ = 0;
+  std::uint64_t count_ = 0;
+  double sum_ = 0;
+  double min_ = 0;
+  double max_ = 0;
+};
+
+TEST(DDSketch, MatchesMapReferenceOnRecordMergeAndCollapse) {
+  for (const std::size_t max_buckets : {2u, 8u, 1024u}) {
+    SCOPED_TRACE(max_buckets);
+    SketchConfig cfg;
+    cfg.max_buckets = max_buckets;
+    Lcg rng(max_buckets);
+    DDSketch sketch(cfg);
+    MapSketch ref(cfg);
+    for (int round = 0; round < 200; ++round) {
+      // A shard of samples over seven decades (with zeros and negatives),
+      // recorded singly and in runs, then merged in.
+      DDSketch shard(cfg);
+      MapSketch ref_shard(cfg);
+      for (int i = 0; i < 50; ++i) {
+        const double u = rng.uniform01();
+        const double v =
+            u < 0.05 ? 0.0 : u < 0.08 ? -u : std::pow(10.0, -3.0 + 7.0 * u);
+        const auto n = static_cast<std::uint64_t>(1 + (i % 3 == 0) * i);
+        shard.record_n(v, n);
+        ref_shard.record_n(v, n);
+        sketch.record(v);
+        ref.record_n(v, 1);
+      }
+      ASSERT_EQ(shard.serialize(), ref_shard.serialize()) << "round " << round;
+      sketch.merge(shard);
+      ref.merge(ref_shard);
+      ASSERT_EQ(sketch.serialize(), ref.serialize()) << "round " << round;
+      ASSERT_EQ(sketch.num_buckets(), ref.num_buckets()) << "round " << round;
+      ASSERT_LE(sketch.num_buckets(), max_buckets);
+    }
+  }
+}
+
+TEST(DDSketch, DeserializeKeepsDuplicateAndZeroCountBucketsLikeTheMap) {
+  // Out-of-order, duplicate and zero-count buckets, and more buckets than
+  // the bound: the map summed duplicates, kept zero-count entries and did
+  // not collapse until the next record or merge.
+  const std::string text =
+      "ddsk1 a=0.02 b=2 z=1 n=8 s=40 lo=0 hi=12 | "
+      "9:2 -2147483648:0 3:1 9:1 5:0 2147483647:3 3:0";
+  const auto sketch = DDSketch::deserialize(text);
+  ASSERT_TRUE(sketch.has_value());
+  SketchConfig cfg;
+  cfg.max_buckets = 2;
+  MapSketch ref(cfg);
+  ref.load(1,
+           {{9, 2}, {-2147483647 - 1, 0}, {3, 1}, {9, 1}, {5, 0},
+            {2147483647, 3}, {3, 0}},
+           40, 0, 12);
+  EXPECT_EQ(sketch->serialize(), ref.serialize());
+  EXPECT_EQ(sketch->num_buckets(), 5u);
+  EXPECT_EQ(sketch->num_buckets(), ref.num_buckets());
+  EXPECT_EQ(DDSketch::deserialize(sketch->serialize())->serialize(),
+            ref.serialize());
+
+  // The next record collapses it the way the map did; so does a merge.
+  DDSketch recorded = *sketch;
+  MapSketch ref_recorded = ref;
+  recorded.record(7.0);
+  ref_recorded.record_n(7.0, 1);
+  EXPECT_EQ(recorded.serialize(), ref_recorded.serialize());
+  EXPECT_EQ(recorded.num_buckets(), 2u);
+
+  DDSketch merged(cfg);
+  MapSketch ref_merged(cfg);
+  merged.record(1.5);
+  ref_merged.record_n(1.5, 1);
+  merged.merge(*sketch);
+  ref_merged.merge(ref);
+  EXPECT_EQ(merged.serialize(), ref_merged.serialize());
+  EXPECT_TRUE(merged == *DDSketch::deserialize(merged.serialize()));
+}
+
+TEST(DDSketch, RecordInBucketMatchesRecord) {
+  DDSketch a;
+  DDSketch b;
+  Lcg rng(5);
+  for (int i = 0; i < 10'000; ++i) {
+    const double v = i % 50 == 0 ? 0.0 : std::pow(10.0, 4.0 * rng.uniform01());
+    a.record(v);
+    b.record_in_bucket(v, v > 0 ? b.index_of(v) : 0);
+  }
+  EXPECT_TRUE(a == b);
+  EXPECT_EQ(a.serialize(), b.serialize());
 }
 
 }  // namespace

@@ -9,10 +9,12 @@
 //   * accepts --full to run at the paper's scale (70 000 clients, 180 s).
 
 #include <chrono>
+#include <cmath>
 #include <filesystem>
 #include <fstream>
 #include <iomanip>
 #include <iostream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -275,5 +277,41 @@ inline void paper_vs_measured(const std::string& what, const std::string& paper,
             << " paper: " << std::setw(18) << paper << " measured: " << measured
             << "\n";
 }
+
+inline int verdict_failures = 0;  // failed verdict() calls so far
+
+/// Declare one bench verdict: `pass` is the acceptance condition, `value`
+/// the headline number it tests and `bound` the condition in words. Prints
+///   verdict: <id> -- PASS|FAIL (value <value>, bound <bound>) <text>
+/// and, under `--json FILE`, appends the row
+///   {"bench", "verdict": id, "pass", "value", "bound"}
+/// that scripts/check_verdicts.sh checks against bench/verdicts.txt.
+inline void verdict(const BenchOptions& opt, const std::string& id, bool pass,
+                    double value, const std::string& bound,
+                    const std::string& text) {
+  if (!pass) ++verdict_failures;
+  std::ostringstream v;
+  v << std::setprecision(6) << value;
+  std::cout << "verdict: " << id << " -- " << (pass ? "PASS" : "FAIL")
+            << " (value " << v.str() << ", bound " << bound << ") " << text
+            << "\n";
+  if (opt.json_path.empty()) return;
+  std::ofstream f(opt.json_path, std::ios::app);
+  if (!f) {
+    std::cerr << "  [json] cannot append to " << opt.json_path << "\n";
+    return;
+  }
+  f << std::setprecision(10) << "{\"bench\":\"" << opt.program
+    << "\",\"verdict\":\"" << id << "\",\"pass\":" << (pass ? "true" : "false")
+    << ",\"value\":";
+  if (std::isfinite(value))
+    f << value;
+  else
+    f << "null";
+  f << ",\"bound\":\"" << bound << "\"}\n";
+}
+
+/// A bench's exit code: non-zero when any verdict() failed.
+inline int verdicts_exit_code() { return verdict_failures > 0 ? 1 : 0; }
 
 }  // namespace ntier::bench

@@ -271,20 +271,29 @@ int main(int argc, char** argv) {
                     "<= half (one fill per key)",
                     std::to_string(storm_on_total) + " vs " +
                         std::to_string(storm_off_total));
-  std::cout << "\nverdict: warm cache "
-            << (warm_ok ? "erased" : "FAILED to erase")
-            << " hot-shard VLRTs (max fraction "
-            << warm_vlrt_fraction_max * 100.0 << "%, min hit ratio "
-            << warm_hit_ratio_min << ")\n"
-            << "verdict: invalidation storm "
-            << (storm_ok ? "reintroduced" : "did NOT reintroduce")
-            << " VLRTs under every policy (min across policies "
-            << (storm_vlrt_min == UINT64_MAX ? 0 : storm_vlrt_min) << ")\n"
-            << "verdict: single-flight coalescing "
-            << (coalesce_ok ? "cut storm VLRTs by at least half"
-                            : "FAILED to halve storm VLRTs")
-            << " (" << storm_on_total << " vs " << storm_off_total << ")\n"
-            << "(fixed seed => byte-deterministic; run with --seed N to vary,"
+  std::cout << "\n";
+  {
+    std::ostringstream s;
+    s << "warm cache erased hot-shard VLRTs (min hit ratio "
+      << warm_hit_ratio_min << ", no-cache min vlrt_n " << nocache_vlrt_min
+      << ")";
+    verdict(opt, "warm_cache_erases_vlrts", warm_ok, warm_vlrt_fraction_max,
+            "< 0.002 with hit ratio > 0.9 and no-cache VLRTs > 0", s.str());
+  }
+  verdict(opt, "storm_reintroduces_vlrts", storm_ok,
+          storm_vlrt_min == UINT64_MAX ? 0.0 : static_cast<double>(storm_vlrt_min),
+          "> 0", "invalidation storm VLRTs, min across policies");
+  {
+    std::ostringstream s;
+    s << "single-flight coalescing cut storm VLRTs (" << storm_on_total
+      << " vs " << storm_off_total << ")";
+    verdict(opt, "coalescing_halves_storm_vlrts", coalesce_ok,
+            storm_off_total > 0 ? static_cast<double>(storm_on_total) /
+                                      static_cast<double>(storm_off_total)
+                                : 0.0,
+            "<= 0.5 of > 0", s.str());
+  }
+  std::cout << "(fixed seed => byte-deterministic; run with --seed N to vary,"
                " --sweep-seeds N --jobs J for mean+-CI, --full for paper scale)\n";
-  return warm_ok && storm_ok && coalesce_ok ? 0 : 1;
+  return verdicts_exit_code();
 }

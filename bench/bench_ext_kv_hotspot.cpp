@@ -208,15 +208,16 @@ int main(int argc, char** argv) {
   paper_vs_measured("failed quorum ops, primary crashed",
                     "0 (N=3, R=W=2 masks it)",
                     std::to_string(crash_quorum_failed_total));
-  std::cout << "\nverdict: server-choice policies "
-            << (hot_ok ? "cannot eliminate" : "ELIMINATED (unexpected)")
-            << " hot-shard VLRTs (min across policies "
-            << (hot_vlrt_min == UINT64_MAX ? 0 : hot_vlrt_min) << ")\n"
-            << "verdict: quorum failover "
-            << (crash_ok ? "masked" : "FAILED to mask")
-            << " the replica crash (0 failed quorum ops, hints replayed, "
-               "none pending)\n"
-            << "(fixed seed => byte-deterministic; run with --seed N to vary,"
+  std::cout << "\n";
+  verdict(opt, "hot_shard_vlrts_persist", hot_ok,
+          hot_vlrt_min == UINT64_MAX ? 0.0 : static_cast<double>(hot_vlrt_min),
+          "> 0", "hot-shard VLRTs no server-choice policy eliminates, min "
+          "across policies");
+  verdict(opt, "quorum_failover_masks_crash", crash_ok,
+          static_cast<double>(crash_quorum_failed_total),
+          "== 0 with hints replayed and none pending",
+          "failed quorum ops with a replica crashed");
+  std::cout << "(fixed seed => byte-deterministic; run with --seed N to vary,"
                " --sweep-seeds N --jobs J for mean+-CI, --full for paper scale)\n";
-  return hot_ok && crash_ok ? 0 : 1;
+  return verdicts_exit_code();
 }

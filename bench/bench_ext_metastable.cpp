@@ -1,6 +1,6 @@
 // Extension: gray failures, metastable basins, and recovery orchestration.
 //
-// Three regimes, one per verdict line:
+// Three regimes, each gated by verdicts:
 //   (a) Differential observability. The same 10x slowdown is injected twice
 //       on one Tomcat: once as kCapacityStall (the probe path slows with the
 //       data path, so the prober times out, the breaker opens, and the
@@ -261,22 +261,20 @@ int main(int argc, char** argv) {
   paper_vs_measured("recovery-on time-to-baseline",
                     "bounded (< run horizon)",
                     std::to_string(worst_recovery_s) + " s max across kinds");
-  std::cout << "\nverdict: gray fault "
-            << (evasion_ok ? "evaded" : "FAILED to evade")
-            << " prober+breaker+prequal with >= 5x latency gap (min gap "
-            << std::fixed << std::setprecision(1) << min_gap << "x)\n"
-            << "verdict: vulnerable config "
-            << (metastable_ok && hardened_ok
-                    ? "stayed degraded >= 10x trigger duration"
-                    : "FAILED to stay degraded 10x trigger")
-            << " after the fault cleared (hardened twin "
-            << (hardened_ok ? "recovered" : "did NOT recover") << ")\n"
-            << "verdict: recovery orchestration "
-            << (recovery_ok ? "restored baseline in bounded time"
-                            : "FAILED to restore baseline")
-            << " (worst time-to-baseline " << std::setprecision(2)
-            << worst_recovery_s << " s)\n"
-            << "(fixed seed => byte-deterministic; run with --seed N to vary,"
+  std::cout << "\n";
+  verdict(opt, "gray_fault_evades_detectors", evasion_ok, min_gap,
+          ">= 5x, gray invisible, stall detected, gray ops > 0",
+          "gray vs detectable latency gap past prober+breaker+prequal");
+  verdict(opt, "vulnerable_stays_degraded", metastable_ok, worst_vuln_ratio,
+          "time-to-baseline >= 10x trigger or never recovered",
+          "vulnerable degraded-to-trigger ratio, min across kinds");
+  verdict(opt, "hardened_twin_recovers", hardened_ok, hardened_ok ? 1 : 0,
+          "== 1, every kind",
+          "hardened twins return to their pre-trigger baseline");
+  verdict(opt, "recovery_restores_baseline", recovery_ok, worst_recovery_s,
+          "recovered with an episode declared, every kind",
+          "recovery-on worst time-to-baseline (s)");
+  std::cout << "(fixed seed => byte-deterministic; run with --seed N to vary,"
                " --full for paper scale)\n";
-  return evasion_ok && hardened_ok && metastable_ok && recovery_ok ? 0 : 1;
+  return verdicts_exit_code();
 }

@@ -20,6 +20,7 @@
 using namespace ntier;
 using namespace ntier::bench;
 
+#ifndef NTIER_OBS_DISABLED
 namespace {
 
 /// std::streambuf that counts bytes and discards them — lets us measure
@@ -46,12 +47,8 @@ std::uint64_t trace_bytes(const obs::TraceCollector& trace) {
   return buf.bytes;
 }
 
-void verdict(const std::string& what, bool pass, const std::string& bound) {
-  std::cout << "verdict: " << what << " -- " << (pass ? "PASS" : "FAIL")
-            << " (" << bound << ")\n";
-}
-
 }  // namespace
+#endif  // NTIER_OBS_DISABLED
 
 int main(int argc, char** argv) {
   const auto opt = BenchOptions::parse(argc, argv);
@@ -62,8 +59,6 @@ int main(int argc, char** argv) {
                "detect or sample\n";
   return 0;
 #else
-  bool all_pass = true;
-
   // -- run 1: full trace + online detector -------------------------------------
   ExperimentConfig base =
       cluster_config(opt, PolicyKind::kTotalRequest, MechanismKind::kBlocking);
@@ -114,7 +109,6 @@ int main(int argc, char** argv) {
 
   const bool matched_ok = score.truth > 0 && score.match_fraction() >= 0.9;
   const bool latency_ok = score.median_latency_ms() <= 250.0;
-  all_pass &= matched_ok && latency_ok;
 
   // -- run 2: quiet regime -----------------------------------------------------
   ExperimentConfig quiet = cluster_config(
@@ -126,7 +120,6 @@ int main(int argc, char** argv) {
   std::cout << "\nquiet regime (millibottlenecks off): " << quiet_eps
             << " episodes flagged\n";
   const bool quiet_ok = quiet_eps == 0;
-  all_pass &= quiet_ok;
 
   // -- run 3: tail-sampled trace, same seed ------------------------------------
   ExperimentConfig tail_cfg = base;
@@ -167,40 +160,30 @@ int main(int argc, char** argv) {
             << "/" << want.size() << "\n\n";
   const bool bytes_ok = byte_fraction <= 0.10;
   const bool chains_ok = retained == want.size() && !want.empty();
-  all_pass &= bytes_ok && chains_ok;
 
   // -- verdicts ----------------------------------------------------------------
   {
     std::ostringstream s;
     s << "online detector matched " << score.matched << "/" << score.truth
-      << " offline episodes (" << std::fixed << std::setprecision(1)
-      << 100.0 * score.match_fraction() << "%)";
-    verdict(s.str(), matched_ok, ">=90% required");
+      << " offline episodes";
+    verdict(opt, "online_matches_offline", matched_ok, score.match_fraction(),
+            ">= 0.9 of > 0 episodes", s.str());
   }
-  {
-    std::ostringstream s;
-    s << "median detection latency " << std::fixed << std::setprecision(0)
-      << score.median_latency_ms() << " ms";
-    verdict(s.str(), latency_ok, "<=250 ms required");
-  }
-  {
-    std::ostringstream s;
-    s << "zero false positives in the quiet regime (" << quiet_eps
-      << " episodes)";
-    verdict(s.str(), quiet_ok, "0 required");
-  }
-  {
-    std::ostringstream s;
-    s << "tail sampling kept " << std::fixed << std::setprecision(1)
-      << 100.0 * byte_fraction << "% of full trace bytes";
-    verdict(s.str(), bytes_ok, "<=10% required");
-  }
+  verdict(opt, "detection_latency", latency_ok, score.median_latency_ms(),
+          "<= 250 ms", "median online detection latency (ms)");
+  verdict(opt, "quiet_no_false_positives", quiet_ok,
+          static_cast<double>(quiet_eps), "== 0",
+          "episodes flagged in the quiet regime");
+  verdict(opt, "tail_sampling_bytes", bytes_ok, byte_fraction, "<= 0.10",
+          "tail-sampled share of full trace bytes");
   {
     std::ostringstream s;
     s << "tail sampling retained " << retained << "/" << want.size()
       << " VLRT-attributed chains";
-    verdict(s.str(), chains_ok, "100% required");
+    verdict(opt, "tail_sampling_keeps_vlrt_chains", chains_ok,
+            static_cast<double>(want.size() - retained), "== 0 lost, > 0 chains",
+            s.str());
   }
-  return all_pass ? 0 : 1;
+  return verdicts_exit_code();
 #endif
 }

@@ -173,13 +173,16 @@ int main(int argc, char** argv) {
                         std::to_string(base.p999_ms) + " ms");
   paper_vs_measured("quiet-regime goodput ratio", ">= 0.95",
                     std::to_string(quiet_ratio));
-  std::cout << "\nverdict: full overload control "
-            << (vlrt_better && tail_better ? "improves" : "does NOT improve")
-            << " both VLRT fraction and p99.9 under the millibottleneck, "
-            << (quiet_ok ? "and is" : "but is NOT")
-            << " free in the quiet regime\n"
-            << "(fixed seed => byte-deterministic; --seed N to vary, "
+  std::cout << "\n";
+  verdict(opt, "improves_tail", vlrt_better && tail_better,
+          full.p999_ms / base.p999_ms, "< 1 and VLRT fraction below baseline",
+          "full overload control p99.9 over the uncontrolled baseline's, under "
+          "the millibottleneck");
+  verdict(opt, "quiet_regime_free", quiet_ok, quiet_ratio, ">= 0.95",
+          "full overload control goodput over the uncontrolled baseline's, "
+          "quiet regime");
+  std::cout << "(fixed seed => byte-deterministic; --seed N to vary, "
                "--sweep-seeds N --jobs J for mean+-CI, --quick for CI smoke, "
                "--full for paper scale)\n";
-  return 0;
+  return verdicts_exit_code();
 }

@@ -155,11 +155,11 @@ int main(int argc, char** argv) {
   paper_vs_measured("prequal VLRT count vs remedy pair", "comparable",
                     std::to_string(prequal_vlrt) + " vs " +
                         std::to_string(remedy_vlrt));
-  std::cout << "\nverdict: prequal "
-            << (prequal_mean <= remedy_mean ? "matches or beats"
-                                            : "does NOT beat")
-            << " the remedy pair on mean response time\n"
-            << "(fixed seed => byte-deterministic; run with --seed N to vary,"
+  std::cout << "\n";
+  verdict(opt, "prequal_beats_remedy", prequal_mean <= remedy_mean,
+          prequal_mean, "<= " + std::to_string(remedy_mean) + " ms",
+          "prequal mean response time (ms) vs the remedy pair's");
+  std::cout << "(fixed seed => byte-deterministic; run with --seed N to vary,"
                " --sweep-seeds N --jobs J for mean+-CI, --full for paper scale)\n";
-  return 0;
+  return verdicts_exit_code();
 }

@@ -26,11 +26,6 @@ using namespace ntier::bench;
 
 namespace {
 
-void verdict(const std::string& what, bool pass, const std::string& bound) {
-  std::cout << "verdict: " << what << " -- " << (pass ? "PASS" : "FAIL")
-            << " (" << bound << ")\n";
-}
-
 struct Cell {
   std::string label;
   experiment::RunSummary summary;
@@ -69,8 +64,6 @@ int main(int argc, char** argv) {
   const auto opt = BenchOptions::parse(argc, argv);
   header("Extension",
          "trace-driven replay: one production-shaped day, five regimes");
-
-  bool all_pass = true;
 
   // -- synthesize the day -----------------------------------------------------
   // Calibrated to the scaled(0.1) cluster (per-Tomcat capacity ~29k req/s
@@ -167,7 +160,6 @@ int main(int argc, char** argv) {
   const double base_vlrt = cells[0].summary.vlrt_fraction;
   const double milli_vlrt = cells[1].summary.vlrt_fraction;
   const bool vlrt_ok = milli_vlrt > 0 && milli_vlrt >= 5.0 * base_vlrt;
-  all_pass &= vlrt_ok;
 
   // -- verdict 2: replay is byte-deterministic --------------------------------
   // The identical config again; the whole summary (counters, histograms,
@@ -177,38 +169,38 @@ int main(int argc, char** argv) {
       experiment::summarize(*run_experiment(opt, vulnerable, false))
           .to_json_string();
   const bool determinism_ok = once == twice;
-  all_pass &= determinism_ok;
 
   // -- verdict 3: open-loop conservation in every regime ----------------------
-  bool conservation_ok = true;
+  int unconserved = 0;  // regimes that lost or invented an arrival
   for (const auto& c : cells) {
     const bool issued_ok = c.issued == trace->size();
     const bool settled_ok = c.settled + c.in_flight == c.issued;
     if (!issued_ok || !settled_ok) {
-      conservation_ok = false;
+      ++unconserved;
       std::cout << "  [conservation] " << c.label << ": issued " << c.issued
                 << "/" << trace->size() << ", settled " << c.settled
                 << " + in-flight " << c.in_flight << "\n";
     }
   }
-  all_pass &= conservation_ok;
 
   std::cout << "\n";
   {
     std::ostringstream s;
     s << "millibottleneck vlrt fraction " << std::fixed << std::setprecision(2)
       << 100.0 * milli_vlrt << "% vs baseline " << 100.0 * base_vlrt << "%";
-    verdict(s.str(), vlrt_ok, ">0 and >=5x baseline required");
+    verdict(opt, "millib_vlrts_reproduce", vlrt_ok, milli_vlrt,
+            "> 0 and >= 5x baseline", s.str());
   }
-  verdict("identical replay configs produce byte-identical summaries",
-          determinism_ok, "exact match required");
+  verdict(opt, "replay_deterministic", determinism_ok, determinism_ok ? 1 : 0,
+          "== 1", "identical replay configs produce byte-identical summaries");
   {
     std::ostringstream s;
     s << "every arrival issued and accounted for in all " << cells.size()
       << " regimes";
-    verdict(s.str(), conservation_ok,
-            "issued == arrivals, ok+dropped+failed+abandoned+in-flight == "
-            "issued");
+    verdict(opt, "arrivals_conserved", unconserved == 0, unconserved,
+            "== 0 regimes with issued != arrivals or settled + in-flight "
+            "!= issued",
+            s.str());
   }
-  return all_pass ? 0 : 1;
+  return verdicts_exit_code();
 }

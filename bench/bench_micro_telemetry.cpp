@@ -6,19 +6,18 @@
 // bench reports that instead of timing loops that no longer exist.
 #include <chrono>
 #include <cstdint>
-#include <fstream>
 #include <iomanip>
 #include <iostream>
 #include <string>
 
-#include "experiment/report.h"
+#include "bench_common.h"
 #include "millib/online_detector.h"
 #include "obs/sketch.h"
 #include "obs/telemetry.h"
 #include "obs/trace.h"
 
 using namespace ntier;
-using experiment::BenchOptions;
+using namespace ntier::bench;
 using obs::EventKind;
 using obs::Tier;
 using obs::TraceEvent;
@@ -100,19 +99,13 @@ int main(int argc, char** argv) {
 #ifdef NTIER_OBS_DISABLED
   // The macro expands to nothing: the per-site cost is exactly zero
   // instructions, there is no loop to time.
-  [[maybe_unused]] obs::TraceCollector* none = nullptr;
+  obs::TraceCollector* none = nullptr;
   NTIER_TRACE_EVENT(none, SimTime{}, EventKind::kClientDone, Tier::kClient, 0,
                     0, 1, 1.0);
-  std::cout << "\nverdict: telemetry overhead compiled away "
-               "(NTIER_OBS_DISABLED): 0.0 ns/event at every site -- PASS\n";
-  if (!opt.json_path.empty()) {
-    std::ofstream f(opt.json_path, std::ios::app);
-    if (f)
-      f << "{\"bench\":\"" << opt.program
-        << "\",\"run\":1,\"label\":\"micro_telemetry\",\"obs_disabled\":true,"
-           "\"push_sinks_ns\":0,\"push_off_ns\":0}\n";
-  }
-  return 0;
+  verdict(opt, "compiled_away", true, 0.0, "== 0 ns/event",
+          "telemetry overhead compiled away (NTIER_OBS_DISABLED) at every "
+          "site");
+  return verdicts_exit_code();
 #else
   // -- building blocks ---------------------------------------------------------
   obs::DDSketch sketch;
@@ -172,22 +165,11 @@ int main(int argc, char** argv) {
     std::cout << "  (self-check failed: op counts off)\n";
 
   // The number the "always-on" claim rests on: full sink stack per event.
-  const bool pass = sinks_ns <= 2000.0;
-  std::cout << "\nverdict: telemetry overhead " << std::fixed
-            << std::setprecision(1) << sinks_ns
-            << " ns/event with the full sink stack (" << off_ns
-            << " ns/event when off) -- " << (pass ? "PASS" : "FAIL")
-            << " (<= 2000 ns/event required)\n";
-  if (!opt.json_path.empty()) {
-    std::ofstream f(opt.json_path, std::ios::app);
-    if (f)
-      f << "{\"bench\":\"" << opt.program
-        << "\",\"run\":1,\"label\":\"micro_telemetry\",\"obs_disabled\":false,"
-           "\"sketch_ns\":" << sketch_ns << ",\"timeline_ns\":" << timeline_ns
-        << ",\"push_off_ns\":" << off_ns << ",\"push_ring_ns\":" << ring_ns
-        << ",\"push_sinks_ns\":" << sinks_ns << ",\"push_tail_ns\":" << tail_ns
-        << "}\n";
-  }
-  return pass ? 0 : 1;
+  std::ostringstream text;
+  text << "telemetry ns/event with the full sink stack (" << std::fixed
+       << std::setprecision(1) << off_ns << " ns/event when off)";
+  verdict(opt, "overhead", sinks_ns <= 2000.0, sinks_ns, "<= 2000 ns/event",
+          text.str());
+  return verdicts_exit_code();
 #endif
 }

@@ -9,6 +9,9 @@
 #        A row carries every scalar run metric under its RunSummary name
 #        (mean_rt_ms, p999_ms, vlrt_fraction, online_median_detection_ms,
 #        ...: the keys of `ntier_run --json`), plus vlrt_count and wall_ms.
+#        Each bench verdict adds one row under the `verdict` key:
+#        {"bench", "verdict": id, "pass", "value", "bound"} (see
+#        bench/verdicts.txt and scripts/check_verdicts.sh).
 # --sweep-seeds N runs the sweep-capable benches (Table I, the probe-policy
 #        extension) N times per row with derived per-replica seeds; their
 #        table rows and JSON rows then carry mean +- 95% CI columns

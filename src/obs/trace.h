@@ -316,15 +316,17 @@ class TraceCollector {
 }  // namespace ntier::obs
 
 // Emission macro used at every instrumentation site: a null-check when the
-// subsystem is built in, nothing at all under -DNTIER_OBS_DISABLED (the
-// arguments are not evaluated).
+// subsystem is built in, nothing at all under -DNTIER_OBS_DISABLED. The
+// disabled form keeps the call in dead code, so its arguments still count as
+// used (no -Wunused warnings) but are never evaluated and emit no code.
 #ifndef NTIER_OBS_DISABLED
 #define NTIER_TRACE_EVENT(collector, ...)             \
   do {                                                \
     if (collector) (collector)->emit(__VA_ARGS__);    \
   } while (0)
 #else
-#define NTIER_TRACE_EVENT(collector, ...) \
-  do {                                    \
+#define NTIER_TRACE_EVENT(collector, ...)          \
+  do {                                             \
+    if (false) (collector)->emit(__VA_ARGS__);     \
   } while (0)
 #endif
